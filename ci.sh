@@ -14,6 +14,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q --workspace (debug build: every crate's tests, overflow checks on)"
+cargo test -q --workspace
+
 echo "==> lint_kernels --deny-warnings (static verification of the kernel zoo)"
 cargo run --release -q -p mpsoc-bench --bin lint_kernels -- --deny-warnings
 

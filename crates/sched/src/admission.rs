@@ -152,7 +152,7 @@ impl AdmissionController {
     }
 
     /// [`AdmissionController::admit`] against an explicit machine size —
-    /// the engine passes the *healthy* cluster count here, so quarantine
+    /// the scheduler passes the *healthy* cluster count here, so quarantine
     /// shrinks what admission reasons about without rebuilding the
     /// controller.
     pub fn admit_with_clusters(&self, job: &Job, clusters: u64) -> AdmissionDecision {

@@ -1,49 +1,39 @@
-//! The deterministic discrete-event engine: virtual time, admission,
-//! spatial allocation and policy-driven dispatch over one job stream.
+//! The closed-loop batch scheduler: one complete, pre-sorted job stream
+//! through admission, spatial allocation and policy-driven dispatch.
 //!
-//! Virtual time advances from event to event (arrivals and partition
-//! completions). How concurrent tenants are timed depends on the
-//! service backend:
+//! [`Engine::run`] feeds the stream to one [`ShardSim`], the same
+//! scheduling loop a serving fleet runs per shard (the `shard` module
+//! documents event ordering and how each service backend times
+//! concurrent tenants). For every arrival instant it advances the shard
+//! to that cycle — completions due by then retire first, so freed
+//! clusters are visible to the arrivals — admits every job arriving at
+//! it, and dispatches once, so the policy ranks same-cycle arrivals
+//! together. It then runs the shard dry and returns the records in
+//! stream order.
 //!
-//! - Under [`ServiceBackend::Measured`] and [`ServiceBackend::Analytic`]
-//!   each offload contributes a standalone (measured-solo or predicted)
-//!   cycle count as its partition's busy interval; cross-tenant NoC/HBM
-//!   interference is *not* modeled — the paper's first-order premise
-//!   that TCDMs and the mask-addressed offload path make partitions
-//!   independent.
-//! - Under [`ServiceBackend::CoSimulated`] the engine drives one shared
-//!   SoC session: every placed job is submitted into the same
-//!   event-driven machine, tenants on disjoint partitions overlap on
-//!   the real NoC switch tree, HBM bandwidth/AMO unit and the serial
-//!   host core, and each job's completion time — including its
-//!   contention-stretched phases, attributed in
-//!   [`JobRecord::contention_cycles`] — emerges from the co-simulation.
+//! Determinism: the shard orders events by `(time, sequence)` and every
+//! service backend is deterministic, so a fixed `(workload, policy,
+//! machine)` triple always yields a byte-identical [`RunReport`].
 //!
-//! Determinism: events are ordered by `(time, sequence)`, all queues are
-//! insertion-ordered, and every service backend is deterministic — so a
-//! fixed `(workload, policy, machine)` triple always yields a
-//! byte-identical [`RunReport`].
-//!
-//! Host-executed jobs occupy a single serial host server (FIFO): the
-//! host core runs one kernel at a time, concurrently with the clusters.
-
-use std::collections::BTreeMap;
+//! What the engine adds over a bare shard is the state that outlives
+//! one run: quarantined clusters, the lint and cost gates with their
+//! memos, the service backend with its measurement caches, and the
+//! telemetry buffer.
 
 use mpsoc_noc::ClusterMask;
-use mpsoc_sim::Cycle;
-use mpsoc_telemetry::{EventKind, EventTrace, Unit};
+use mpsoc_telemetry::EventTrace;
 
-use crate::admission::{AdmissionController, AdmissionDecision, RejectReason};
-use crate::alloc::Allocator;
+use crate::admission::AdmissionController;
 use crate::calibrate::ModelTable;
 use crate::cost_gate::CostGate;
 use crate::error::SchedError;
 use crate::job::Job;
 use crate::lint_gate::LintGate;
-use crate::metrics::{JobOutcome, JobRecord, Metrics, RunReport};
-use crate::policy::{Placement, QueuedJob, SchedContext, SchedPolicy};
-use crate::quarantine::{QuarantineEvent, StrikeBoard, AUTO_QUARANTINE_STRIKES};
+use crate::metrics::{Metrics, RunReport};
+use crate::policy::SchedPolicy;
+use crate::quarantine::{QuarantineEvent, AUTO_QUARANTINE_STRIKES};
 use crate::service::ServiceBackend;
+use crate::shard::ShardSim;
 
 /// The multi-tenant scheduler: admission + allocation + dispatch over a
 /// service-time backend.
@@ -62,22 +52,6 @@ pub struct Engine {
     auto_quarantine: Option<u32>,
     /// Automatic quarantine decisions of the last [`Engine::run`].
     quarantine_log: Vec<QuarantineEvent>,
-}
-
-/// A job in flight on a carved partition.
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    record_index: usize,
-    mask: ClusterMask,
-    start: u64,
-    job: Job,
-    m: usize,
-    /// Corruption re-dispatches charged so far (co-simulated backend).
-    retries: u32,
-    /// Injected faults observed across every attempt.
-    faults: u64,
-    /// Contention cycles accumulated across every attempt.
-    contention: u64,
 }
 
 impl Engine {
@@ -102,7 +76,7 @@ impl Engine {
     /// cumulative and applies to every subsequent [`Engine::run`]: the
     /// allocator never grants a quarantined cluster, and jobs whose
     /// Eq. 3 minimum partition exceeds the surviving pool are rejected
-    /// with [`RejectReason::DegradedMachine`].
+    /// with [`RejectReason::DegradedMachine`](crate::RejectReason::DegradedMachine).
     ///
     /// Quarantining also drops the measured backend's memoized solo-run
     /// offload timings ([`ServiceBackend::invalidate_measurements`]):
@@ -140,15 +114,11 @@ impl Engine {
         &self.quarantine_log
     }
 
-    /// Healthy (non-quarantined) clusters.
-    fn healthy_clusters(&self) -> usize {
-        self.clusters - self.quarantined.count()
-    }
-
     /// Enables static program verification at admission: every arriving
     /// job's worst-case core program is linted (memoized per kernel and
     /// problem size) and jobs with lint *errors* are rejected with
-    /// [`RejectReason::ProgramLint`] before admission control runs.
+    /// [`RejectReason::ProgramLint`](crate::RejectReason::ProgramLint)
+    /// before admission control runs.
     pub fn enable_lint(&mut self, gate: LintGate) {
         self.lint_gate = Some(gate);
     }
@@ -156,8 +126,9 @@ impl Engine {
     /// Enables static cost verification at admission: jobs whose
     /// deadline undercuts the *static best-case* runtime bound at every
     /// cluster count, strategy, and the host path are rejected with
-    /// [`RejectReason::StaticInfeasible`] before Eq. 3 runs. Verdicts
-    /// are memoized per kernel and problem size.
+    /// [`RejectReason::StaticInfeasible`](crate::RejectReason::StaticInfeasible)
+    /// before Eq. 3 runs. Verdicts are memoized per kernel and problem
+    /// size.
     pub fn enable_cost(&mut self, gate: CostGate) {
         self.cost_gate = Some(gate);
     }
@@ -169,8 +140,9 @@ impl Engine {
 
     /// Enables typed-event telemetry for subsequent [`Engine::run`]
     /// calls: job arrivals, queue waits, partition occupancy spans,
-    /// host runs and rejections. Disabled, every recording site is a
-    /// single branch and reports stay byte-identical.
+    /// host runs, rejections, re-dispatches and automatic quarantines.
+    /// Disabled, every recording site is a single branch and reports
+    /// stay byte-identical.
     pub fn enable_telemetry(&mut self, capacity: usize) {
         self.telemetry = EventTrace::enabled(capacity);
     }
@@ -181,18 +153,22 @@ impl Engine {
         &self.telemetry
     }
 
-    /// Simulates `jobs` (must be sorted by arrival time) under `policy`.
+    /// Simulates `jobs` under `policy`. The stream must be sorted by
+    /// arrival time, and job ids must strictly increase along it (as
+    /// [`Workload::generate`](crate::Workload::generate) produces them):
+    /// records come back in stream order.
     ///
     /// # Errors
     ///
     /// Service-backend failures (offload geometry violations, host-run
-    /// faults).
+    /// faults, a stalled co-simulated session).
     ///
     /// # Panics
     ///
-    /// Panics if `jobs` is not sorted by arrival, or if the policy
-    /// returns an invalid placement (out-of-range index, zero or
-    /// unavailable partition size).
+    /// Panics if `jobs` is not sorted by arrival, if two jobs share an
+    /// id or ids decrease, or if the policy returns an invalid
+    /// placement (out-of-range index, zero or unavailable partition
+    /// size).
     pub fn run(
         &mut self,
         jobs: &[Job],
@@ -202,619 +178,66 @@ impl Engine {
             jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "job stream must be sorted by arrival time"
         );
+        assert!(
+            jobs.windows(2).all(|w| w[0].id < w[1].id),
+            "job ids must strictly increase along the stream"
+        );
         let _prof = mpsoc_sim::profile::scope("sched.engine.run");
-        self.telemetry.clear();
-        if matches!(self.backend, ServiceBackend::CoSimulated { .. }) {
-            return self.run_cosimulated(jobs, policy);
-        }
-        let healthy = self.healthy_clusters();
-        let mut allocator = Allocator::with_quarantine(self.clusters, self.quarantined);
-        let mut records: Vec<JobRecord> = Vec::with_capacity(jobs.len());
-        let mut ready: Vec<QueuedJob> = Vec::new();
-        // Completion events keyed by (finish, sequence): BTreeMap pops
-        // in deterministic order even for simultaneous completions.
-        let mut completions: BTreeMap<(u64, u64), Running> = BTreeMap::new();
-        let mut seq = 0u64;
-        let mut host_free_at = 0u64;
-        let mut next_arrival = 0usize;
+        let name = policy.name().to_owned();
+        let table = self.admission.table().clone();
+        let backend = std::mem::replace(&mut self.backend, ServiceBackend::analytic(table.clone()));
+        let mut shard =
+            ShardSim::with_policy(table, self.clusters, backend, policy, self.quarantined);
+        shard.set_auto_quarantine(self.auto_quarantine);
+        shard.lint_gate = self.lint_gate.take();
+        shard.cost_gate = self.cost_gate.take();
+        shard.telemetry = std::mem::take(&mut self.telemetry);
+        shard.telemetry.clear();
 
-        loop {
-            // Next event: the earlier of the next arrival and the next
-            // completion; completions win ties so freed clusters are
-            // visible to jobs arriving at the same cycle.
-            let arrival_t = jobs.get(next_arrival).map(|j| j.arrival);
-            let completion_t = completions.keys().next().map(|&(t, _)| t);
-            let now = match (arrival_t, completion_t) {
-                (Some(a), Some(c)) => a.min(c),
-                (Some(a), None) => a,
-                (None, Some(c)) => c,
-                (None, None) => break,
-            };
+        let fed = feed(&mut shard, jobs);
+        let mut records = shard.drain_finished();
+        self.quarantined = shard.quarantined();
+        self.quarantine_log = shard.drain_quarantine_events();
+        self.backend = shard.backend;
+        self.lint_gate = shard.lint_gate;
+        self.cost_gate = shard.cost_gate;
+        self.telemetry = shard.telemetry;
+        fed?;
 
-            // 1. Retire everything finishing at `now`.
-            while let Some((&key @ (t, _), _)) = completions.iter().next() {
-                if t > now {
-                    break;
-                }
-                let done = completions.remove(&key).expect("key just observed");
-                allocator.release(done.mask);
-                records[done.record_index] = JobRecord {
-                    job: done.job,
-                    outcome: JobOutcome::Offloaded {
-                        start: done.start,
-                        finish: t,
-                        m: done.m,
-                    },
-                    contention_cycles: 0,
-                    retries: 0,
-                    faults_observed: 0,
-                };
-            }
-
-            // 2. Admit everything arriving at `now`.
-            while let Some(job) = jobs.get(next_arrival).filter(|j| j.arrival == now) {
-                next_arrival += 1;
-                self.telemetry.instant(
-                    Cycle::new(now),
-                    Unit::SchedHost,
-                    EventKind::JobArrive,
-                    job.id,
-                );
-                if let Some(gate) = self.lint_gate.as_mut() {
-                    if let Some(report) = gate.check(job) {
-                        let errors = report.error_count() as u32;
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected {
-                                reason: RejectReason::ProgramLint { errors },
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        continue;
-                    }
-                }
-                if let Some(gate) = self.cost_gate.as_mut() {
-                    if let Some(best) = gate.check(job) {
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected {
-                                reason: RejectReason::StaticInfeasible { best },
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        continue;
-                    }
-                }
-                match self.admission.admit_degraded(job, healthy as u64) {
-                    AdmissionDecision::Offload { m_min, predicted } => {
-                        // Placeholder until the offload completes; the
-                        // queue remembers where to write the outcome.
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Offloaded {
-                                start: 0,
-                                finish: 0,
-                                m: 0,
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        ready.push(QueuedJob {
-                            job: *job,
-                            m_min,
-                            predicted,
-                        });
-                    }
-                    AdmissionDecision::Host { .. } => {
-                        let start = now.max(host_free_at);
-                        let cycles = self.backend.host_cycles(job.kernel, job.n)?;
-                        let finish = start + cycles;
-                        host_free_at = finish;
-                        let span = self.telemetry.begin(
-                            Cycle::new(start),
-                            Unit::SchedHost,
-                            EventKind::HostRun,
-                        );
-                        self.telemetry.end(
-                            Cycle::new(finish),
-                            Unit::SchedHost,
-                            EventKind::HostRun,
-                            span,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Host { start, finish },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                    }
-                    AdmissionDecision::Reject { reason } => {
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected { reason },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                    }
-                }
-            }
-
-            // 3. Let the policy place queued jobs until it passes.
-            loop {
-                let ctx = SchedContext {
-                    now,
-                    free_clusters: allocator.free_count(),
-                    total_clusters: healthy,
-                    models: self.admission.table(),
-                };
-                let Some(Placement { queue_index, m }) = policy.pick(&ready, &ctx) else {
-                    break;
-                };
-                assert!(queue_index < ready.len(), "policy picked a ghost job");
-                let queued = ready.remove(queue_index);
-                let mask = allocator
-                    .carve(m)
-                    .unwrap_or_else(|| panic!("policy over-allocated: {m} clusters not free"));
-                let cycles = self
-                    .backend
-                    .offload_cycles(queued.job.kernel, queued.job.n, mask)?;
-                let record_index = records
-                    .iter()
-                    .position(|r| r.job.id == queued.job.id)
-                    .expect("queued job has a placeholder record");
-                // One track per partition, keyed by its lowest cluster:
-                // disjoint masks never overlap in time on one track.
-                let part = Unit::Partition(mask.iter().next().unwrap_or(0) as u32);
-                if queued.job.arrival < now {
-                    self.telemetry.instant(
-                        Cycle::new(now),
-                        part,
-                        EventKind::QueueWait,
-                        now - queued.job.arrival,
-                    );
-                }
-                let span = self
-                    .telemetry
-                    .begin(Cycle::new(now), part, EventKind::Offload);
-                self.telemetry
-                    .end(Cycle::new(now + cycles), part, EventKind::Offload, span);
-                completions.insert(
-                    (now + cycles, seq),
-                    Running {
-                        record_index,
-                        mask,
-                        start: now,
-                        job: queued.job,
-                        m,
-                        retries: 0,
-                        faults: 0,
-                        contention: 0,
-                    },
-                );
-                seq += 1;
-            }
-        }
-
-        assert!(ready.is_empty(), "policy left admitted jobs unscheduled");
-        let metrics = Metrics::from_records(&records, self.clusters);
+        records.sort_unstable_by_key(|r| r.job.id);
         Ok(RunReport {
-            policy: policy.name().to_owned(),
+            policy: name,
             clusters: self.clusters,
-            metrics,
+            metrics: Metrics::from_records(&records, self.clusters),
             records,
         })
     }
+}
 
-    /// The [`ServiceBackend::CoSimulated`] run loop: one shared SoC
-    /// session carries every placed job, and virtual time follows the
-    /// SoC's own event queue instead of pre-charged busy intervals.
-    ///
-    /// The scheduling semantics mirror [`Engine::run`] exactly —
-    /// completions retire before same-cycle arrivals are admitted (the
-    /// session is advanced with the next arrival as its horizon, so any
-    /// completion at or before that instant surfaces first), the policy
-    /// re-picks after every event, and host-fallback jobs occupy the
-    /// virtual serial host server. What changes is where offload
-    /// finish times come from: each placement is *submitted* into the
-    /// shared session and its completion — host queueing, NoC stalls,
-    /// HBM queueing and AMO waits included — emerges from co-simulating
-    /// all in-flight tenants together.
-    fn run_cosimulated(
-        &mut self,
-        jobs: &[Job],
-        policy: &mut dyn SchedPolicy,
-    ) -> Result<RunReport, SchedError> {
-        let mut healthy = self.healthy_clusters();
-        let mut allocator = Allocator::with_quarantine(self.clusters, self.quarantined);
-        // The closed loop from fault observation to scheduling decision:
-        // corrupt completions accumulate strikes per flagged cluster and
-        // crossing the hysteresis threshold quarantines the cluster
-        // mid-stream — no external diagnosis call involved.
-        let mut strikes = StrikeBoard::with_threshold(self.clusters, self.auto_quarantine);
-        self.quarantine_log.clear();
-        let clusters = self.clusters;
-        let ServiceBackend::CoSimulated {
-            offloader,
-            seed,
-            strategy,
-            host_cache,
-        } = &mut self.backend
-        else {
-            unreachable!("run_cosimulated requires a co-simulated backend");
-        };
-        let seed = *seed;
-        let strategy = *strategy;
-        offloader.begin_jobs();
-
-        let mut records: Vec<JobRecord> = Vec::with_capacity(jobs.len());
-        let mut ready: Vec<QueuedJob> = Vec::new();
-        // In-flight tenants keyed by their session job handle.
-        let mut running: BTreeMap<mpsoc_offload::JobId, Running> = BTreeMap::new();
-        let mut host_free_at = 0u64;
-        let mut next_arrival = 0usize;
-
-        loop {
-            let arrival_t = jobs.get(next_arrival).map(|j| j.arrival);
-
-            // 1. Drive the shared SoC to the next event. Advancing with
-            //    the next arrival as horizon makes completions win ties:
-            //    a tenant finishing at the arrival cycle retires (and
-            //    frees its partition) before the arrival is admitted.
-            let now = if !running.is_empty() {
-                let horizon = arrival_t.map_or(Cycle::MAX, Cycle::new);
-                match offloader.advance_jobs(horizon)? {
-                    mpsoc_offload::SessionStep::Completed(t) => {
-                        let Some(mut done) = running.remove(&t.job) else {
-                            return Err(SchedError::UnknownCompletion { job: t.job });
-                        };
-                        done.faults += t.faults_injected;
-                        done.contention += t.contention.total_cycles();
-                        let finish = t.finished_at.as_u64();
-                        let part = Unit::Partition(done.mask.iter().next().unwrap_or(0) as u32);
-                        if t.corrupt_clusters != 0 {
-                            // Strike accounting happens on *every*
-                            // corrupt completion — including the final
-                            // attempt of an exhausted retry budget — so
-                            // a flaky cluster is diagnosed even when
-                            // re-dispatch keeps absorbing its output.
-                            let fire = strikes.record(t.corrupt_clusters, self.quarantined);
-                            if !fire.is_empty() {
-                                for cluster in fire.iter() {
-                                    self.telemetry.instant(
-                                        t.finished_at,
-                                        Unit::SchedHost,
-                                        EventKind::Quarantine,
-                                        cluster as u64,
-                                    );
-                                    self.quarantine_log.push(QuarantineEvent {
-                                        at: finish,
-                                        cluster,
-                                        strikes: strikes.strikes(cluster),
-                                    });
-                                }
-                                self.quarantined = self.quarantined.union(fire);
-                                allocator.quarantine(fire);
-                                healthy = clusters - self.quarantined.count();
-                                if let Some(gate) = self.cost_gate.as_mut() {
-                                    gate.restrict_clusters(healthy);
-                                }
-                            }
-                        }
-                        if t.corrupt_clusters != 0
-                            && done.retries < crate::shard::COSIM_MAX_REDISPATCH
-                        {
-                            // The DMA CRC flagged corrupted data: the
-                            // result cannot be returned, so re-dispatch
-                            // on the same partition with fresh fault
-                            // dice and charge the retry to the record.
-                            done.retries += 1;
-                            self.telemetry.instant(
-                                t.finished_at,
-                                part,
-                                EventKind::Redispatch,
-                                done.job.id,
-                            );
-                            let (x, y) = crate::calibrate::operands(done.job.n, seed ^ done.job.n);
-                            let handle = offloader.submit_at(
-                                done.job.kernel.instantiate().as_ref(),
-                                &x,
-                                &y,
-                                done.mask,
-                                strategy,
-                                t.finished_at,
-                            )?;
-                            running.insert(handle, done);
-                            finish
-                        } else {
-                            allocator.release(done.mask);
-                            let span = self.telemetry.begin(
-                                Cycle::new(done.start),
-                                part,
-                                EventKind::Offload,
-                            );
-                            self.telemetry
-                                .end(t.finished_at, part, EventKind::Offload, span);
-                            records[done.record_index] = JobRecord {
-                                job: done.job,
-                                outcome: JobOutcome::Offloaded {
-                                    start: done.start,
-                                    finish,
-                                    m: done.m,
-                                },
-                                contention_cycles: done.contention,
-                                retries: done.retries,
-                                faults_observed: done.faults,
-                            };
-                            finish
-                        }
-                    }
-                    mpsoc_offload::SessionStep::Horizon | mpsoc_offload::SessionStep::Idle => {
-                        // With no arrival left to advance virtual time,
-                        // a paused session means an in-flight tenant
-                        // will never complete (reachable under injected
-                        // faults: a wedged barrier or a dead cluster).
-                        let Some(t) = arrival_t else {
-                            return Err(SchedError::SessionStalled {
-                                in_flight: running.len(),
-                            });
-                        };
-                        t
-                    }
-                }
-            } else {
-                match arrival_t {
-                    Some(a) => a,
-                    None => break,
-                }
-            };
-
-            // 2. Admit everything arriving at `now` (identical to the
-            //    legacy path; host fallback runs on the virtual serial
-            //    host server, memoized like the measured backend).
-            while let Some(job) = jobs.get(next_arrival).filter(|j| j.arrival == now) {
-                next_arrival += 1;
-                self.telemetry.instant(
-                    Cycle::new(now),
-                    Unit::SchedHost,
-                    EventKind::JobArrive,
-                    job.id,
-                );
-                if let Some(gate) = self.lint_gate.as_mut() {
-                    if let Some(report) = gate.check(job) {
-                        let errors = report.error_count() as u32;
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected {
-                                reason: RejectReason::ProgramLint { errors },
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        continue;
-                    }
-                }
-                if let Some(gate) = self.cost_gate.as_mut() {
-                    if let Some(best) = gate.check(job) {
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected {
-                                reason: RejectReason::StaticInfeasible { best },
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        continue;
-                    }
-                }
-                match self.admission.admit_degraded(job, healthy as u64) {
-                    AdmissionDecision::Offload { m_min, predicted } => {
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Offloaded {
-                                start: 0,
-                                finish: 0,
-                                m: 0,
-                            },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                        ready.push(QueuedJob {
-                            job: *job,
-                            m_min,
-                            predicted,
-                        });
-                    }
-                    AdmissionDecision::Host { .. } => {
-                        let start = now.max(host_free_at);
-                        let cycles = match host_cache.get(&(job.kernel, job.n)) {
-                            Some(&c) => c,
-                            None => {
-                                let (x, y) = crate::calibrate::operands(job.n, seed ^ job.n);
-                                let (c, _) = offloader.run_on_host(
-                                    job.kernel.instantiate().as_ref(),
-                                    &x,
-                                    &y,
-                                )?;
-                                host_cache.insert((job.kernel, job.n), c);
-                                c
-                            }
-                        };
-                        let finish = start + cycles;
-                        host_free_at = finish;
-                        let span = self.telemetry.begin(
-                            Cycle::new(start),
-                            Unit::SchedHost,
-                            EventKind::HostRun,
-                        );
-                        self.telemetry.end(
-                            Cycle::new(finish),
-                            Unit::SchedHost,
-                            EventKind::HostRun,
-                            span,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Host { start, finish },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                    }
-                    AdmissionDecision::Reject { reason } => {
-                        self.telemetry.instant(
-                            Cycle::new(now),
-                            Unit::SchedHost,
-                            EventKind::Reject,
-                            job.id,
-                        );
-                        records.push(JobRecord {
-                            job: *job,
-                            outcome: JobOutcome::Rejected { reason },
-                            contention_cycles: 0,
-                            retries: 0,
-                            faults_observed: 0,
-                        });
-                    }
-                }
-            }
-
-            // 3. Let the policy place queued jobs until it passes; each
-            //    placement is submitted into the shared session.
-            loop {
-                let ctx = SchedContext {
-                    now,
-                    free_clusters: allocator.free_count(),
-                    total_clusters: healthy,
-                    models: self.admission.table(),
-                };
-                let Some(Placement { queue_index, m }) = policy.pick(&ready, &ctx) else {
-                    break;
-                };
-                assert!(queue_index < ready.len(), "policy picked a ghost job");
-                let queued = ready.remove(queue_index);
-                let mask = allocator
-                    .carve(m)
-                    .unwrap_or_else(|| panic!("policy over-allocated: {m} clusters not free"));
-                let record_index = records
-                    .iter()
-                    .position(|r| r.job.id == queued.job.id)
-                    .expect("queued job has a placeholder record");
-                let part = Unit::Partition(mask.iter().next().unwrap_or(0) as u32);
-                if queued.job.arrival < now {
-                    self.telemetry.instant(
-                        Cycle::new(now),
-                        part,
-                        EventKind::QueueWait,
-                        now - queued.job.arrival,
-                    );
-                }
-                let (x, y) = crate::calibrate::operands(queued.job.n, seed ^ queued.job.n);
-                let handle = offloader.submit_at(
-                    queued.job.kernel.instantiate().as_ref(),
-                    &x,
-                    &y,
-                    mask,
-                    strategy,
-                    Cycle::new(now),
-                )?;
-                running.insert(
-                    handle,
-                    Running {
-                        record_index,
-                        mask,
-                        start: now,
-                        job: queued.job,
-                        m,
-                        retries: 0,
-                        faults: 0,
-                        contention: 0,
-                    },
-                );
-            }
+/// Feeds a sorted stream into `shard` one arrival instant at a time:
+/// advance to the instant, admit all of its arrivals, dispatch once.
+/// Then runs the shard dry.
+fn feed<P: SchedPolicy>(shard: &mut ShardSim<P>, jobs: &[Job]) -> Result<(), SchedError> {
+    let mut rest = jobs;
+    while let Some(first) = rest.first() {
+        let at = first.arrival;
+        let (arriving, later) = rest.split_at(rest.partition_point(|j| j.arrival <= at));
+        shard.advance(at)?;
+        for job in arriving {
+            shard.admit(*job)?;
         }
-
-        // Mid-stream quarantine can strand admitted jobs whose Eq. 3
-        // minimum partition no longer fits the surviving pool: resolve
-        // them as typed degraded rejections — their admission verdict
-        // predates the capacity loss. Anything else left queued really
-        // is a policy bug.
-        for queued in ready.drain(..) {
-            assert!(
-                queued.m_min > healthy as u64,
-                "policy left a schedulable job unscheduled"
-            );
-            let record_index = records
-                .iter()
-                .position(|r| r.job.id == queued.job.id)
-                .expect("queued job has a placeholder record");
-            records[record_index] = JobRecord {
-                job: queued.job,
-                outcome: JobOutcome::Rejected {
-                    reason: RejectReason::DegradedMachine {
-                        required: queued.m_min,
-                        healthy: healthy as u64,
-                    },
-                },
-                contention_cycles: 0,
-                retries: 0,
-                faults_observed: 0,
-            };
-        }
-        let metrics = Metrics::from_records(&records, self.clusters);
-        Ok(RunReport {
-            policy: policy.name().to_owned(),
-            clusters: self.clusters,
-            metrics,
-            records,
-        })
+        shard.dispatch()?;
+        rest = later;
     }
+    shard.drain()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::KernelId;
-    use crate::policy::FifoFirstFit;
+    use crate::metrics::JobOutcome;
+    use crate::policy::{EarliestDeadlineFirst, FifoFirstFit};
 
     fn jobs(specs: &[(u64, u64, u64)]) -> Vec<Job> {
         specs
@@ -878,6 +301,42 @@ mod tests {
         assert_eq!((s0, s1), (0, 0), "both must start at once");
         assert!(f0 > 0 && f1 > 0);
         assert_eq!(report.metrics.deadline_misses, 0);
+    }
+
+    #[test]
+    fn same_cycle_arrivals_are_ranked_together() {
+        // Two jobs arrive on cycle 0 and only one fits the single
+        // cluster; the second has the earlier deadline. Both are
+        // admitted before the one dispatch of that instant, so EDF
+        // starts the second and the first waits for the cluster.
+        let stream = jobs(&[(0, 1024, 100_000), (0, 1024, 1000)]);
+        let report = engine(1)
+            .run(&stream, &mut EarliestDeadlineFirst)
+            .expect("run");
+        match (report.records[0].outcome, report.records[1].outcome) {
+            (
+                JobOutcome::Offloaded { start: s0, .. },
+                JobOutcome::Offloaded {
+                    start: s1,
+                    finish: f1,
+                    ..
+                },
+            ) => {
+                assert_eq!(s1, 0, "the urgent job starts at once");
+                assert_eq!(s0, f1, "the lax job waits for the cluster");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job ids must strictly increase")]
+    fn duplicate_job_ids_are_refused() {
+        let mut stream = jobs(&[(0, 1024, 100_000), (10, 1024, 100_000)]);
+        for job in &mut stream {
+            job.id = 7;
+        }
+        let _ = engine(8).run(&stream, &mut FifoFirstFit);
     }
 
     #[test]

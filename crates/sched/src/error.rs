@@ -19,7 +19,7 @@ pub enum SchedError {
         in_flight: usize,
     },
     /// The co-simulated session delivered a completion for a job the
-    /// engine never submitted.
+    /// scheduler never submitted.
     UnknownCompletion {
         /// The session's job handle.
         job: u64,

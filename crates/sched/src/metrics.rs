@@ -44,9 +44,9 @@ pub struct JobRecord {
     /// Zero under the measured and analytic backends, whose solo-run
     /// service times cannot observe cross-tenant contention.
     pub contention_cycles: u64,
-    /// Re-dispatch attempts this job needed beyond the first (the
-    /// virtual-time engine dispatches exactly once, so this is nonzero
-    /// only for records produced by a resilient execution layer).
+    /// Re-dispatch attempts this job needed beyond the first: nonzero
+    /// for co-simulated tenants whose completion was flagged corrupt,
+    /// and for records produced by a resilient execution layer.
     pub retries: u32,
     /// Faults injected into this job's offload, as reported by the
     /// co-simulated SoC's injector. Zero under the measured and

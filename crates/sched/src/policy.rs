@@ -3,9 +3,9 @@
 //!
 //! All policies see the same interface — the admitted-but-waiting queue
 //! and a snapshot of machine state — and return one placement at a time;
-//! the engine re-asks until the policy passes. This keeps policies pure
-//! decision logic: carving masks, clocks and bookkeeping stay in the
-//! engine.
+//! the scheduling loop ([`ShardSim`](crate::ShardSim)) re-asks until the
+//! policy passes. This keeps policies pure decision logic: carving
+//! masks, clocks and bookkeeping stay in the loop.
 
 use mpsoc_offload::decision::min_clusters;
 use serde::{Deserialize, Serialize};
@@ -60,6 +60,26 @@ pub trait SchedPolicy {
     /// completion; each returned placement removes that job from the
     /// queue before the next call.
     fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement>;
+}
+
+impl<P: SchedPolicy + ?Sized> SchedPolicy for Box<P> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
+        (**self).pick(ready, ctx)
+    }
+}
+
+impl<P: SchedPolicy + ?Sized> SchedPolicy for &mut P {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn pick(&mut self, ready: &[QueuedJob], ctx: &SchedContext<'_>) -> Option<Placement> {
+        (**self).pick(ready, ctx)
+    }
 }
 
 /// FIFO with head-of-line blocking: strictly serves the oldest admitted

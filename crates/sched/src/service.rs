@@ -1,6 +1,6 @@
 //! Service-time backends: how long a scheduled job actually takes.
 //!
-//! The engine separates *predicting* runtimes (always the fitted models
+//! The scheduler separates *predicting* runtimes (always the fitted models
 //! — that is the paper's premise) from *charging* them:
 //!
 //! - [`ServiceBackend::Measured`] runs each `(kernel, N, M)` combination
@@ -20,7 +20,7 @@
 //!   no SoC in the loop, arbitrarily fast, useful for large sweeps and
 //!   for isolating queueing effects from model error.
 //! - [`ServiceBackend::CoSimulated`] drops the solo-run assumption: the
-//!   engine drives one *shared* SoC session in virtual time, tenants on
+//!   shard drives one *shared* SoC session in virtual time, tenants on
 //!   disjoint partitions overlap on the real NoC/HBM/host models, and
 //!   each job's service time (and its attributed contention cycles)
 //!   *emerges* from the co-simulation instead of being charged from a
@@ -58,7 +58,7 @@ pub enum ServiceBackend {
     },
     /// One shared SoC co-simulated in virtual time: concurrent tenants
     /// interfere on the real NoC/HBM/host models. Service times are not
-    /// charged through [`ServiceBackend::offload_cycles`] — the engine
+    /// charged through [`ServiceBackend::offload_cycles`] — the shard
     /// submits jobs into the offloader's session and virtual time
     /// follows the SoC's event queue.
     CoSimulated {
@@ -156,7 +156,7 @@ impl ServiceBackend {
                 Ok(table.get(kernel).accel.predict(m as u64, n).ceil() as u64)
             }
             ServiceBackend::CoSimulated { .. } => unreachable!(
-                "co-simulated service times emerge from the engine's shared session, \
+                "co-simulated service times emerge from the shard's shared session, \
                  not from per-job charges"
             ),
         }

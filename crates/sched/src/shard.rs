@@ -1,13 +1,9 @@
-//! An incremental, open-ended scheduling engine: one shard of a serving
-//! fleet.
-//!
-//! [`Engine::run`](crate::Engine::run) consumes a complete, pre-sorted
-//! job stream — the
-//! right shape for closed experiments, the wrong one for a serving
-//! front-end where jobs arrive over a wire and completions must be
-//! reported as they happen. [`ShardSim`] exposes the same scheduling
-//! semantics (admission → spatial allocation → policy-driven dispatch
-//! over a [`ServiceBackend`]) as an *incremental* state machine:
+//! The scheduling loop: admission → spatial allocation → policy-driven
+//! dispatch over a [`ServiceBackend`], as an incremental state machine
+//! driven event by event. It is the only loop in this crate: a serving
+//! fleet drives one [`ShardSim`] per shard as jobs arrive over the wire,
+//! and [`Engine::run`](crate::Engine::run) drives one over a complete,
+//! pre-sorted stream for the closed-loop studies.
 //!
 //! - [`ShardSim::advance`] drives virtual time forward to a horizon,
 //!   retiring completions and re-dispatching the queue after each one;
@@ -20,30 +16,42 @@
 //! - [`ShardSim::drain_finished`] yields completed [`JobRecord`]s in
 //!   completion order.
 //!
-//! Event ordering matches the engine exactly: completions retire before
-//! same-cycle arrivals (drive `advance(t)` before `offer`ing an arrival
-//! at `t`), the policy re-picks after every event, and host-fallback
-//! jobs serialize on the virtual host server. Fed an identical stream,
-//! a `ShardSim` reproduces `Engine::run`'s records field-for-field (see
-//! the equivalence tests), so fleet results compose from the same
-//! building block the closed-loop studies use.
+//! Event ordering: completions retire before same-cycle arrivals (drive
+//! `advance(t)` before `offer`ing an arrival at `t`), the policy
+//! re-picks after every event, and host-fallback jobs serialize on the
+//! virtual host server. Events are ordered by `(time, sequence)` and
+//! every queue is insertion-ordered, so a shard is deterministic.
 //!
-//! Under [`ServiceBackend::CoSimulated`] the shard drives its own shared
-//! SoC session and — like the engine — re-dispatches a tenant whose
-//! completion carries the observable corruption signal
-//! (`corrupt_clusters`), bounded by [`COSIM_MAX_REDISPATCH`]; the
-//! re-dispatch count lands in [`JobRecord::retries`]. Corrupt
-//! completions also accumulate per-cluster strikes
-//! ([`crate::StrikeBoard`]): a cluster flagged
-//! [`crate::AUTO_QUARANTINE_STRIKES`] times is quarantined mid-stream —
-//! allocator pool shrink, degraded admission, measured-cache and
-//! cost-gate invalidation — and reported as a typed
-//! [`QuarantineEvent`].
+//! How concurrent tenants are timed depends on the service backend:
+//!
+//! - Under [`ServiceBackend::Measured`] and [`ServiceBackend::Analytic`]
+//!   each offload contributes a standalone (measured-solo or predicted)
+//!   cycle count as its partition's busy interval; cross-tenant NoC/HBM
+//!   interference is *not* modeled — the paper's first-order premise
+//!   that TCDMs and the mask-addressed offload path make partitions
+//!   independent.
+//! - Under [`ServiceBackend::CoSimulated`] the shard drives one shared
+//!   SoC session: every placed job is submitted into the same
+//!   event-driven machine, tenants on disjoint partitions overlap on
+//!   the real NoC switch tree, HBM bandwidth/AMO unit and the serial
+//!   host core, and each job's completion time — including its
+//!   contention-stretched phases, attributed in
+//!   [`JobRecord::contention_cycles`] — emerges from the co-simulation.
+//!   A tenant whose completion carries the observable corruption signal
+//!   (`corrupt_clusters`) is re-dispatched, bounded by
+//!   [`COSIM_MAX_REDISPATCH`]; the re-dispatch count lands in
+//!   [`JobRecord::retries`]. Corrupt completions also accumulate
+//!   per-cluster strikes ([`crate::StrikeBoard`]): a cluster flagged
+//!   [`crate::AUTO_QUARANTINE_STRIKES`] times is quarantined
+//!   mid-stream — allocator pool shrink, degraded admission,
+//!   measured-cache and cost-gate invalidation — and reported as a
+//!   typed [`QuarantineEvent`].
 
 use std::collections::BTreeMap;
 
 use mpsoc_noc::ClusterMask;
 use mpsoc_sim::Cycle;
+use mpsoc_telemetry::{EventKind, EventTrace, Unit};
 
 use crate::admission::{AdmissionController, AdmissionDecision, RejectReason};
 use crate::alloc::Allocator;
@@ -51,6 +59,7 @@ use crate::calibrate::ModelTable;
 use crate::cost_gate::CostGate;
 use crate::error::SchedError;
 use crate::job::Job;
+use crate::lint_gate::LintGate;
 use crate::metrics::{JobOutcome, JobRecord};
 use crate::policy::{Placement, QueuedJob, SchedContext, SchedPolicy};
 use crate::quarantine::{QuarantineEvent, StrikeBoard};
@@ -117,14 +126,20 @@ struct InFlight {
     contention: u64,
 }
 
+/// The telemetry track of a partition, keyed by its lowest cluster:
+/// disjoint masks never overlap in time on one track.
+fn partition_unit(mask: ClusterMask) -> Unit {
+    Unit::Partition(mask.iter().next().unwrap_or(0) as u32)
+}
+
 /// An incremental single-machine scheduler: admission, allocation and
 /// dispatch over a service backend, driven event-by-event.
-pub struct ShardSim {
+pub struct ShardSim<P = Box<dyn SchedPolicy>> {
     admission: AdmissionController,
-    backend: ServiceBackend,
+    pub(crate) backend: ServiceBackend,
     clusters: usize,
     allocator: Allocator,
-    policy: Box<dyn SchedPolicy>,
+    policy: P,
     queue_limit: Option<usize>,
     now: u64,
     host_free_at: u64,
@@ -138,11 +153,18 @@ pub struct ShardSim {
     backlog_cycles: f64,
     busy_cluster_cycles: u64,
     completed_jobs: u64,
-    cost_gate: Option<CostGate>,
+    pub(crate) cost_gate: Option<CostGate>,
     last_cost_check: Option<CostCheck>,
     quarantined: ClusterMask,
     strikes: StrikeBoard,
     quarantine_events: Vec<QuarantineEvent>,
+    /// Static program verification, checked before the cost gate;
+    /// enabled through [`Engine::enable_lint`](crate::Engine::enable_lint).
+    pub(crate) lint_gate: Option<LintGate>,
+    /// Arrivals, queue waits, partition occupancy, host runs,
+    /// rejections, re-dispatches and quarantines; enabled through
+    /// [`Engine::enable_telemetry`](crate::Engine::enable_telemetry).
+    pub(crate) telemetry: EventTrace,
 }
 
 impl ShardSim {
@@ -154,7 +176,20 @@ impl ShardSim {
         backend: ServiceBackend,
         policy: Box<dyn SchedPolicy>,
     ) -> Self {
-        let mut backend = backend;
+        ShardSim::with_policy(table, clusters, backend, policy, ClusterMask::EMPTY)
+    }
+}
+
+impl<P: SchedPolicy> ShardSim<P> {
+    /// A shard dispatching with any policy type whose `quarantined`
+    /// clusters are out of the pool from the start (no events logged).
+    pub(crate) fn with_policy(
+        table: ModelTable,
+        clusters: usize,
+        mut backend: ServiceBackend,
+        policy: P,
+        quarantined: ClusterMask,
+    ) -> Self {
         if let ServiceBackend::CoSimulated { offloader, .. } = &mut backend {
             offloader.begin_jobs();
         }
@@ -162,7 +197,7 @@ impl ShardSim {
             admission: AdmissionController::new(table, clusters as u64),
             backend,
             clusters,
-            allocator: Allocator::new(clusters),
+            allocator: Allocator::with_quarantine(clusters, quarantined),
             policy,
             queue_limit: None,
             now: 0,
@@ -177,9 +212,11 @@ impl ShardSim {
             completed_jobs: 0,
             cost_gate: None,
             last_cost_check: None,
-            quarantined: ClusterMask::EMPTY,
+            quarantined,
             strikes: StrikeBoard::new(clusters),
             quarantine_events: Vec::new(),
+            lint_gate: None,
+            telemetry: EventTrace::disabled(),
         }
     }
 
@@ -211,6 +248,12 @@ impl ShardSim {
             gate.restrict_clusters(healthy);
         }
         for cluster in mask.iter() {
+            self.telemetry.instant(
+                Cycle::new(self.now),
+                Unit::SchedHost,
+                EventKind::Quarantine,
+                cluster as u64,
+            );
             self.quarantine_events.push(QuarantineEvent {
                 at: self.now,
                 cluster,
@@ -337,19 +380,8 @@ impl ShardSim {
         if matches!(self.backend, ServiceBackend::CoSimulated { .. }) {
             self.advance_cosimulated(until)?;
         } else {
-            while let Some((&(t, _), _)) = self.completions.iter().next() {
-                if t > until {
-                    break;
-                }
-                self.now = t;
-                while let Some((&key @ (tt, _), _)) = self.completions.iter().next() {
-                    if tt > t {
-                        break;
-                    }
-                    let done = self.completions.remove(&key).expect("key just observed");
-                    self.retire(done, t);
-                }
-                self.dispatch()?;
+            while let Some(t) = self.next_completion().filter(|&t| t <= until) {
+                self.retire_due(t)?;
             }
         }
         if until != u64::MAX {
@@ -431,7 +463,7 @@ impl ShardSim {
     /// any other rejection.
     pub fn reject_evicted(&mut self, q: QueuedJob) {
         let healthy = self.healthy_clusters() as u64;
-        self.push_rejection(
+        self.reject(
             q.job,
             RejectReason::DegradedMachine {
                 required: q.m_min,
@@ -449,15 +481,36 @@ impl ShardSim {
     ///
     /// Service-backend failures measuring or submitting the job.
     pub fn offer(&mut self, job: Job) -> Result<ShardDecision, SchedError> {
-        self.now = self.now.max(job.arrival);
-        if let Some(gate) = self.cost_gate.as_mut() {
-            if let Some(best) = gate.check(&job) {
-                let reason = RejectReason::StaticInfeasible { best };
-                self.push_rejection(job, reason);
-                return Ok(ShardDecision::Rejected { reason });
-            }
+        let decision = self.admit(job)?;
+        if matches!(decision, ShardDecision::Queued { .. }) {
+            self.dispatch()?;
         }
-        let decision = match self
+        Ok(decision)
+    }
+
+    /// [`ShardSim::offer`] without the dispatch: a batch caller admits
+    /// every arrival of one instant, then calls [`ShardSim::dispatch`]
+    /// once so the policy ranks same-cycle arrivals together.
+    pub(crate) fn admit(&mut self, job: Job) -> Result<ShardDecision, SchedError> {
+        self.now = self.now.max(job.arrival);
+        self.telemetry.instant(
+            Cycle::new(self.now),
+            Unit::SchedHost,
+            EventKind::JobArrive,
+            job.id,
+        );
+        let lint_errors = self
+            .lint_gate
+            .as_mut()
+            .and_then(|gate| gate.check(&job))
+            .map(|report| report.error_count() as u32);
+        if let Some(errors) = lint_errors {
+            return Ok(self.reject(job, RejectReason::ProgramLint { errors }));
+        }
+        if let Some(best) = self.cost_gate.as_mut().and_then(|gate| gate.check(&job)) {
+            return Ok(self.reject(job, RejectReason::StaticInfeasible { best }));
+        }
+        match self
             .admission
             .admit_degraded(&job, self.healthy_clusters() as u64)
         {
@@ -466,36 +519,39 @@ impl ShardSim {
                     .queue_limit
                     .is_some_and(|limit| self.ready.len() >= limit)
                 {
-                    let reason = RejectReason::QueueFull {
-                        depth: self.ready.len() as u64,
-                    };
-                    self.push_rejection(job, reason);
-                    ShardDecision::Rejected { reason }
-                } else {
-                    self.ready.push(QueuedJob {
-                        job,
-                        m_min,
-                        predicted,
-                    });
-                    self.backlog_cycles += predicted * m_min as f64;
-                    if let Some(gate) = self.cost_gate.as_mut() {
-                        self.last_cost_check = gate
-                            .envelope(job.kernel, job.n, m_min as usize)
+                    let depth = self.ready.len() as u64;
+                    return Ok(self.reject(job, RejectReason::QueueFull { depth }));
+                }
+                self.ready.push(QueuedJob {
+                    job,
+                    m_min,
+                    predicted,
+                });
+                self.backlog_cycles += predicted * m_min as f64;
+                if let Some(gate) = self.cost_gate.as_mut() {
+                    self.last_cost_check =
+                        gate.envelope(job.kernel, job.n, m_min as usize)
                             .map(|env| CostCheck {
                                 best: env.best,
                                 worst: env.worst,
                                 predicted,
                             });
-                    }
-                    self.dispatch()?;
-                    ShardDecision::Queued { m_min, predicted }
                 }
+                Ok(ShardDecision::Queued { m_min, predicted })
             }
             AdmissionDecision::Host { .. } => {
                 let start = self.now.max(self.host_free_at);
-                let cycles = self.host_cycles(job)?;
-                let finish = start + cycles;
+                let finish = start + self.backend.host_cycles(job.kernel, job.n)?;
                 self.host_free_at = finish;
+                let span =
+                    self.telemetry
+                        .begin(Cycle::new(start), Unit::SchedHost, EventKind::HostRun);
+                self.telemetry.end(
+                    Cycle::new(finish),
+                    Unit::SchedHost,
+                    EventKind::HostRun,
+                    span,
+                );
                 self.completions.insert(
                     (finish, self.seq),
                     InFlight {
@@ -512,14 +568,10 @@ impl ShardSim {
                     },
                 );
                 self.seq += 1;
-                ShardDecision::Host { start, finish }
+                Ok(ShardDecision::Host { start, finish })
             }
-            AdmissionDecision::Reject { reason } => {
-                self.push_rejection(job, reason);
-                ShardDecision::Rejected { reason }
-            }
-        };
-        Ok(decision)
+            AdmissionDecision::Reject { reason } => Ok(self.reject(job, reason)),
+        }
     }
 
     /// Retracts the rejection record this shard just logged for
@@ -567,30 +619,15 @@ impl ShardSim {
         self.dispatch()
     }
 
-    /// Host runtime lookup mirroring the engine: memoized measurement
-    /// under the measured/co-simulated backends, a model prediction
-    /// under the analytic one.
-    fn host_cycles(&mut self, job: Job) -> Result<u64, SchedError> {
-        match &mut self.backend {
-            ServiceBackend::CoSimulated {
-                offloader,
-                seed,
-                host_cache,
-                ..
-            } => {
-                if let Some(&c) = host_cache.get(&(job.kernel, job.n)) {
-                    return Ok(c);
-                }
-                let (x, y) = crate::calibrate::operands(job.n, *seed ^ job.n);
-                let (c, _) = offloader.run_on_host(job.kernel.instantiate().as_ref(), &x, &y)?;
-                host_cache.insert((job.kernel, job.n), c);
-                Ok(c)
-            }
-            other => other.host_cycles(job.kernel, job.n),
-        }
-    }
-
-    fn push_rejection(&mut self, job: Job, reason: RejectReason) {
+    /// Logs `job` as turned away for `reason`: a served "no", recorded
+    /// at once.
+    fn reject(&mut self, job: Job, reason: RejectReason) -> ShardDecision {
+        self.telemetry.instant(
+            Cycle::new(self.now),
+            Unit::SchedHost,
+            EventKind::Reject,
+            job.id,
+        );
         self.finished.push(JobRecord {
             job,
             outcome: JobOutcome::Rejected { reason },
@@ -598,9 +635,10 @@ impl ShardSim {
             retries: 0,
             faults_observed: 0,
         });
+        ShardDecision::Rejected { reason }
     }
 
-    /// Retires one virtual-time completion into the finished log.
+    /// Retires one finished job (host run or offload) into the log.
     fn retire(&mut self, done: InFlight, finish: u64) {
         let outcome = if done.host {
             JobOutcome::Host {
@@ -611,6 +649,12 @@ impl ShardSim {
             self.allocator.release(done.mask);
             self.backlog_cycles -= done.predicted * done.m_min as f64;
             self.busy_cluster_cycles += (finish - done.start) * done.m as u64;
+            let part = partition_unit(done.mask);
+            let span = self
+                .telemetry
+                .begin(Cycle::new(done.start), part, EventKind::Offload);
+            self.telemetry
+                .end(Cycle::new(finish), part, EventKind::Offload, span);
             JobOutcome::Offloaded {
                 start: done.start,
                 finish,
@@ -627,8 +671,27 @@ impl ShardSim {
         });
     }
 
+    /// The earliest virtual-time completion still pending.
+    fn next_completion(&self) -> Option<u64> {
+        self.completions.keys().next().map(|&(t, _)| t)
+    }
+
+    /// Retires every virtual-time completion due at `t` (the earliest
+    /// pending one), then lets the policy re-pick.
+    fn retire_due(&mut self, t: u64) -> Result<(), SchedError> {
+        self.now = t;
+        while self.next_completion().is_some_and(|due| due <= t) {
+            let (_, done) = self
+                .completions
+                .pop_first()
+                .expect("completion just observed");
+            self.retire(done, t);
+        }
+        self.dispatch()
+    }
+
     /// Lets the policy place queued jobs until it passes.
-    fn dispatch(&mut self) -> Result<(), SchedError> {
+    pub(crate) fn dispatch(&mut self) -> Result<(), SchedError> {
         loop {
             let ctx = SchedContext {
                 now: self.now,
@@ -645,6 +708,14 @@ impl ShardSim {
                 .allocator
                 .carve(m)
                 .unwrap_or_else(|| panic!("policy over-allocated: {m} clusters not free"));
+            if queued.job.arrival < self.now {
+                self.telemetry.instant(
+                    Cycle::new(self.now),
+                    partition_unit(mask),
+                    EventKind::QueueWait,
+                    self.now - queued.job.arrival,
+                );
+            }
             let placed = InFlight {
                 job: queued.job,
                 m_min: queued.m_min,
@@ -657,32 +728,47 @@ impl ShardSim {
                 faults: 0,
                 contention: 0,
             };
-            match &mut self.backend {
-                ServiceBackend::CoSimulated {
-                    offloader,
-                    seed,
-                    strategy,
-                    ..
-                } => {
-                    let (x, y) = crate::calibrate::operands(queued.job.n, *seed ^ queued.job.n);
-                    let handle = offloader.submit_at(
-                        queued.job.kernel.instantiate().as_ref(),
-                        &x,
-                        &y,
-                        mask,
-                        *strategy,
-                        Cycle::new(self.now),
-                    )?;
-                    self.running.insert(handle, placed);
-                }
-                other => {
-                    let cycles = other.offload_cycles(queued.job.kernel, queued.job.n, mask)?;
-                    self.completions
-                        .insert((self.now + cycles, self.seq), placed);
-                    self.seq += 1;
-                }
+            if matches!(self.backend, ServiceBackend::CoSimulated { .. }) {
+                let handle = self.submit(queued.job, mask, Cycle::new(self.now))?;
+                self.running.insert(handle, placed);
+            } else {
+                let cycles = self
+                    .backend
+                    .offload_cycles(queued.job.kernel, queued.job.n, mask)?;
+                self.completions
+                    .insert((self.now + cycles, self.seq), placed);
+                self.seq += 1;
             }
         }
+    }
+
+    /// Submits `job` on `mask` into the shared co-simulated session,
+    /// starting at `at`.
+    fn submit(
+        &mut self,
+        job: Job,
+        mask: ClusterMask,
+        at: Cycle,
+    ) -> Result<mpsoc_offload::JobId, SchedError> {
+        let ServiceBackend::CoSimulated {
+            offloader,
+            seed,
+            strategy,
+            ..
+        } = &mut self.backend
+        else {
+            unreachable!("session submissions require a co-simulated backend");
+        };
+        let (x, y) = crate::calibrate::operands(job.n, *seed ^ job.n);
+        let handle = offloader.submit_at(
+            job.kernel.instantiate().as_ref(),
+            &x,
+            &y,
+            mask,
+            *strategy,
+            at,
+        )?;
+        Ok(handle)
     }
 
     /// The co-simulated advance loop: one shared SoC session carries
@@ -690,70 +776,28 @@ impl ShardSim {
     /// their scheduled virtual times.
     fn advance_cosimulated(&mut self, until: u64) -> Result<(), SchedError> {
         loop {
-            // Host completions scheduled before the next session event
-            // retire first (both are virtual-time ordered).
-            let next_host = self.completions.keys().next().map(|&(t, _)| t);
-            if let Some(t) = next_host.filter(|&t| t <= until) {
-                // Retire host runs up to the next session completion: we
-                // must interleave, so peek the session only as far as
-                // the host event.
-                if self.running.is_empty() {
-                    self.now = t;
-                    while let Some((&key @ (tt, _), _)) = self.completions.iter().next() {
-                        if tt > t {
-                            break;
-                        }
-                        let done = self.completions.remove(&key).expect("key just observed");
-                        self.retire(done, t);
-                    }
+            let next_host = self.next_completion().filter(|&t| t <= until);
+            if !self.running.is_empty() {
+                // Advance the session no further than the earliest
+                // scheduled host completion, so host and session events
+                // retire in global time order.
+                let ServiceBackend::CoSimulated { offloader, .. } = &mut self.backend else {
+                    unreachable!("advance_cosimulated requires a co-simulated backend");
+                };
+                let horizon = Cycle::new(next_host.unwrap_or(until));
+                if let mpsoc_offload::SessionStep::Completed(t) = offloader.advance_jobs(horizon)? {
+                    self.retire_cosimulated(*t)?;
                     self.dispatch()?;
                     continue;
                 }
             }
-            if self.running.is_empty() && next_host.map_or(true, |t| t > until) {
-                break;
-            }
-            // Advance the session no further than the earliest scheduled
-            // host completion, so host and session events retire in
-            // global time order.
-            let horizon = next_host.map_or(until, |t| t.min(until));
-            let step = {
-                let ServiceBackend::CoSimulated { offloader, .. } = &mut self.backend else {
-                    unreachable!("advance_cosimulated requires a co-simulated backend");
-                };
-                if self.running.is_empty() {
-                    mpsoc_offload::SessionStep::Idle
-                } else {
-                    offloader.advance_jobs(Cycle::new(horizon))?
-                }
-            };
-            match step {
-                mpsoc_offload::SessionStep::Completed(t) => {
-                    self.retire_cosimulated(*t)?;
-                    self.dispatch()?;
-                }
-                mpsoc_offload::SessionStep::Horizon | mpsoc_offload::SessionStep::Idle => {
-                    // No session event before `horizon`: retire the host
-                    // completions there, or stop at the caller's bound.
-                    match next_host.filter(|&t| t <= until) {
-                        Some(t) => {
-                            self.now = t;
-                            while let Some((&key @ (tt, _), _)) = self.completions.iter().next() {
-                                if tt > t {
-                                    break;
-                                }
-                                let done =
-                                    self.completions.remove(&key).expect("key just observed");
-                                self.retire(done, t);
-                            }
-                            self.dispatch()?;
-                        }
-                        None => break,
-                    }
-                }
+            // No session event before the horizon: retire the host
+            // completions there, or stop at the caller's bound.
+            match next_host {
+                Some(t) => self.retire_due(t)?,
+                None => return Ok(()),
             }
         }
-        Ok(())
     }
 
     /// Retires (or corruption-re-dispatches) one co-simulated tenant.
@@ -776,47 +820,23 @@ impl ShardSim {
             if !fire.is_empty() {
                 self.quarantine(fire);
             }
+            if done.retries < COSIM_MAX_REDISPATCH {
+                // Observable corruption: re-dispatch on the same
+                // partition with fresh fault dice, charging the retry to
+                // the record.
+                done.retries += 1;
+                self.telemetry.instant(
+                    t.finished_at,
+                    partition_unit(done.mask),
+                    EventKind::Redispatch,
+                    done.job.id,
+                );
+                let handle = self.submit(done.job, done.mask, t.finished_at)?;
+                self.running.insert(handle, done);
+                return Ok(());
+            }
         }
-        if t.corrupt_clusters != 0 && done.retries < COSIM_MAX_REDISPATCH {
-            // Observable corruption: re-dispatch on the same partition
-            // with fresh fault dice, charging the retry to the record.
-            done.retries += 1;
-            let ServiceBackend::CoSimulated {
-                offloader,
-                seed,
-                strategy,
-                ..
-            } = &mut self.backend
-            else {
-                unreachable!("co-simulated completion without a co-simulated backend");
-            };
-            let (x, y) = crate::calibrate::operands(done.job.n, *seed ^ done.job.n);
-            let handle = offloader.submit_at(
-                done.job.kernel.instantiate().as_ref(),
-                &x,
-                &y,
-                done.mask,
-                *strategy,
-                t.finished_at,
-            )?;
-            self.running.insert(handle, done);
-            return Ok(());
-        }
-        self.allocator.release(done.mask);
-        self.backlog_cycles -= done.predicted * done.m_min as f64;
-        self.busy_cluster_cycles += (finish - done.start) * done.m as u64;
-        self.completed_jobs += 1;
-        self.finished.push(JobRecord {
-            job: done.job,
-            outcome: JobOutcome::Offloaded {
-                start: done.start,
-                finish,
-                m: done.m,
-            },
-            contention_cycles: done.contention,
-            retries: done.retries,
-            faults_observed: done.faults,
-        });
+        self.retire(done, finish);
         Ok(())
     }
 }
@@ -826,7 +846,6 @@ mod tests {
     use super::*;
     use crate::job::KernelId;
     use crate::policy::FifoFirstFit;
-    use crate::Engine;
 
     fn jobs(specs: &[(u64, u64, u64)]) -> Vec<Job> {
         specs
@@ -849,59 +868,6 @@ mod tests {
             backend,
             Box::new(FifoFirstFit),
         )
-    }
-
-    fn run_stream(shard: &mut ShardSim, stream: &[Job]) -> Vec<JobRecord> {
-        for job in stream {
-            shard.advance(job.arrival).expect("advance");
-            shard.offer(*job).expect("offer");
-        }
-        shard.drain().expect("drain");
-        let mut records = shard.drain_finished();
-        records.sort_by_key(|r| r.job.id);
-        records
-    }
-
-    /// The contract that licenses fleet results: fed the same stream, a
-    /// shard reproduces the closed-loop engine's records exactly.
-    #[test]
-    fn shard_matches_engine_on_an_analytic_stream() {
-        let stream = jobs(&[
-            (0, 1024, 1000),
-            (0, 1024, 1000),
-            (0, 2048, 2000),
-            (100, 256, 100_000),
-            (150, 1024, 300),
-            (500, 4096, 9000),
-            (500, 64, 100_000),
-        ]);
-        let table = ModelTable::paper_defaults();
-        let mut engine = Engine::new(table.clone(), 4, ServiceBackend::analytic(table.clone()));
-        let want = engine.run(&stream, &mut FifoFirstFit).expect("engine");
-        let mut s = shard(4, ServiceBackend::analytic(table));
-        let got = run_stream(&mut s, &stream);
-        assert_eq!(got, want.records);
-    }
-
-    #[test]
-    fn shard_matches_engine_on_a_cosimulated_stream() {
-        let stream = jobs(&[
-            (0, 1024, 2000),
-            (0, 2048, 4000),
-            (100, 256, 100_000),
-            (500, 4096, 9000),
-        ]);
-        let table = ModelTable::paper_defaults();
-        let mk_backend = || {
-            let offloader =
-                mpsoc_offload::Offloader::new(mpsoc_soc::SocConfig::with_clusters(8)).expect("soc");
-            ServiceBackend::co_simulated(offloader, 0xBEEF)
-        };
-        let mut engine = Engine::new(table.clone(), 8, mk_backend());
-        let want = engine.run(&stream, &mut FifoFirstFit).expect("engine");
-        let mut s = shard(8, mk_backend());
-        let got = run_stream(&mut s, &stream);
-        assert_eq!(got, want.records);
     }
 
     #[test]

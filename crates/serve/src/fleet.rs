@@ -1,10 +1,10 @@
 //! The shard manager: a fleet of independent co-simulated (or analytic)
 //! SoC shards behind one load balancer.
 //!
-//! Each shard is an incremental [`ShardSim`] — the same admission →
-//! allocation → dispatch semantics as the closed-loop `Engine`, driven
-//! event-by-event. The fleet layer adds what a serving front-end needs
-//! on top:
+//! Each shard is an incremental [`ShardSim`] — the admission →
+//! allocation → dispatch loop the closed-loop `Engine` also drives,
+//! here fed event-by-event. The fleet layer adds what a serving
+//! front-end needs on top:
 //!
 //! - **Placement** ([`PlacementPolicy`]): which shard an arriving job is
 //!   offered to. Round-robin ignores load; least-loaded picks the

@@ -17,8 +17,7 @@
 //! - [`profile`]: a wall-clock scoped self-profiler (RAII guards into a
 //!   per-site call tree) for measuring the simulator itself,
 //! - [`rng::SplitMix64`]: a tiny deterministic RNG for reproducible
-//!   stochastic workloads,
-//! - [`trace`]: an optional event trace for debugging and timeline dumps.
+//!   stochastic workloads.
 //!
 //! # Example
 //!
@@ -59,7 +58,6 @@ mod time;
 pub mod profile;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 
 pub use engine::{Engine, RunResult, Scheduler, Simulate, StepBudget};
 pub use queue::{EventQueue, ScheduledEvent};

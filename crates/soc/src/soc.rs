@@ -26,7 +26,6 @@ use mpsoc_isa::{Interpreter, MemoryPort, PortError};
 use mpsoc_mem::{Addr, ClusterReg, MainMemory, MemoryMap, Tcdm};
 use mpsoc_noc::{ClusterMask, Interconnect};
 use mpsoc_sim::stats::StatsRegistry;
-use mpsoc_sim::trace::Tracer;
 use mpsoc_sim::{Cycle, EventQueue, Scheduler, Simulate};
 use mpsoc_telemetry::{EventKind, EventTrace, PhaseBreakdown, Unit};
 
@@ -289,7 +288,6 @@ pub struct Soc {
     session_tcdm_conflicts: u64,
     stats_folded: bool,
     stats: StatsRegistry,
-    tracer: Tracer,
     telemetry: EventTrace,
     faults: FaultInjector,
     fatal: Option<SocError>,
@@ -340,7 +338,6 @@ impl Soc {
             session_tcdm_conflicts: 0,
             stats_folded: false,
             stats: StatsRegistry::new(),
-            tracer: Tracer::disabled(),
             telemetry: EventTrace::disabled(),
             faults: FaultInjector::noop(),
             fatal: None,
@@ -370,16 +367,6 @@ impl Soc {
     /// Collected statistics of the last offload.
     pub fn stats(&self) -> &StatsRegistry {
         &self.stats
-    }
-
-    /// Enables event tracing with the given record capacity.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.tracer = Tracer::enabled(capacity);
-    }
-
-    /// The trace collected during the last offload.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Enables typed-event telemetry with the given event capacity.
@@ -508,10 +495,6 @@ impl Soc {
                 .config
                 .descriptor_words
                 .div_ceil(self.config.mem_words_per_cycle)
-    }
-
-    fn trace(&mut self, at: Cycle, unit: &str, msg: impl Into<String>) {
-        self.tracer.record(at, unit, msg);
     }
 
     fn fail(&mut self, error: SocError) {
@@ -1230,11 +1213,6 @@ impl Simulate for Soc {
                 reg,
                 value,
             } => {
-                self.trace(
-                    now,
-                    "noc",
-                    format!("mailbox[{cluster}].{reg:?} <- {value:#x}"),
-                );
                 match reg {
                     ClusterReg::JobPtr => {
                         self.clusters[cluster].mailbox_job_ptr = value;
