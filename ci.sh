@@ -17,6 +17,9 @@ cargo test -q
 echo "==> cargo test -q --workspace (debug build: every crate's tests, overflow checks on)"
 cargo test -q --workspace
 
+echo "==> cargo test -q --manifest-path perfbench/Cargo.toml (the benchmark's checkers and real passes)"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> lint_kernels --deny-warnings (static verification of the kernel zoo)"
 cargo run --release -q -p mpsoc-bench --bin lint_kernels -- --deny-warnings
 

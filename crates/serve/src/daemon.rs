@@ -15,11 +15,16 @@
 //!   `JobComplete` at its finish time, delivered to the session that
 //!   submitted the job.
 //!
-//! Responses are timestamped and globally ordered before framing, so a
-//! session's outbound stream is in virtual-time order even though
-//! completions are discovered lazily. The daemon never blocks: clients
-//! that send garbage get a typed [`ServeError::Decode`] naming their
-//! session, not a hang.
+//! Responses are stamped `(virtual time, emission sequence)` and wait,
+//! ordered by that stamp, until they are final: after each `SubmitJob` at time `t`
+//! the fleet has advanced to `t`, so nothing found later can be stamped
+//! before `t`, and every pending response stamped before that watermark
+//! is framed in stamp order. The rest is framed after the closing drain.
+//! A session's outbound stream is therefore in virtual-time order even
+//! though completions are discovered lazily, and it is byte-identical to
+//! sorting the whole run's responses at the end — without holding them
+//! all. The daemon never blocks: clients that send garbage get a typed
+//! [`ServeError::Decode`] naming their session, not a hang.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -140,6 +145,44 @@ impl From<SchedError> for ServeError {
     }
 }
 
+/// Responses emitted but not yet framed, ordered by
+/// `(virtual time, emit seq)`: [`Daemon::run`] releases them to the
+/// sessions' pipes as the virtual-time watermark passes them.
+#[derive(Default)]
+struct Outbox {
+    pending: BTreeMap<(u64, u64), (usize, Response)>,
+    seq: u64,
+    /// Virtual time of the last framed response.
+    framed: u64,
+}
+
+impl Outbox {
+    /// Queues `response` for `session`, stamped `time`.
+    fn emit(&mut self, time: u64, session: usize, response: Response) {
+        debug_assert!(
+            time >= self.framed,
+            "response stamped {time} is older than one already framed at {}",
+            self.framed
+        );
+        self.pending.insert((time, self.seq), (session, response));
+        self.seq += 1;
+    }
+
+    /// Frames, in `(time, seq)` order, every pending response stamped
+    /// before `watermark` (`None`: every pending response).
+    fn frame(&mut self, watermark: Option<u64>, pipes: &mut [Duplex]) {
+        while let Some(entry) = self.pending.first_entry() {
+            let time = entry.key().0;
+            if watermark.is_some_and(|w| time >= w) {
+                break;
+            }
+            let (session, response) = entry.remove();
+            self.framed = time;
+            pipes[session].server_send(&encode(&response));
+        }
+    }
+}
+
 /// The serving daemon: fleet + per-session transports.
 pub struct Daemon {
     fleet: Fleet,
@@ -180,29 +223,19 @@ impl Daemon {
         let mut pipes: Vec<Duplex> = scripts.iter().map(|_| Duplex::new()).collect();
         let mut decoders: Vec<Decoder> = scripts.iter().map(|_| Decoder::new()).collect();
         // Fleet job id → (session, client_job): the daemon's private
-        // mapping between wire identity and fleet identity.
-        let mut origin: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
-        // Responses gathered as (virtual time, emit sequence, session).
-        let mut responses: Vec<(u64, u64, usize, Response)> = Vec::new();
-        let mut emit_seq = 0u64;
+        // mapping between wire identity and fleet identity. Fleet ids
+        // count up from 0, so a vector indexed by id holds it; rejected
+        // jobs (and earlier runs' jobs) leave `None`.
+        let mut origin: Vec<Option<(usize, u64)>> = Vec::new();
+        let mut outbox = Outbox::default();
         let mut collected = 0usize;
-
-        let emit = |responses: &mut Vec<(u64, u64, usize, Response)>,
-                    emit_seq: &mut u64,
-                    t: u64,
-                    session: usize,
-                    r: Response| {
-            responses.push((t, *emit_seq, session, r));
-            *emit_seq += 1;
-        };
 
         for (t, session, idx) in events {
             // The "wire": the client's encoded frame crosses its pipe
             // now; the daemon drains and decodes incrementally.
             let (_, request) = scripts[session].sends[idx];
             pipes[session].client_send(&encode(&request));
-            let inbound = pipes[session].server_drain();
-            decoders[session].push(&inbound);
+            decoders[session].push(pipes[session].server_drain().as_slice());
             loop {
                 let decoded = decoders[session]
                     .next_message::<Request>()
@@ -217,36 +250,39 @@ impl Daemon {
                         n,
                         deadline,
                     } => {
-                        let fleet_job = self.next_fleet_job_id();
+                        let fleet_job = self.next_fleet_job_id() as usize;
                         let (shard, decision) = self.fleet.submit(kernel, n, deadline, t)?;
-                        match decision {
+                        let verdict = match decision {
                             ShardDecision::Queued { .. } | ShardDecision::Host { .. } => {
-                                origin.insert(fleet_job, (session, client_job));
-                                emit(
-                                    &mut responses,
-                                    &mut emit_seq,
-                                    t,
-                                    session,
-                                    Response::JobAccepted { client_job, shard },
-                                );
+                                if origin.len() <= fleet_job {
+                                    origin.resize(fleet_job + 1, None);
+                                }
+                                origin[fleet_job] = Some((session, client_job));
+                                Response::JobAccepted { client_job, shard }
                             }
                             ShardDecision::Rejected { reason } => {
-                                emit(
-                                    &mut responses,
-                                    &mut emit_seq,
-                                    t,
-                                    session,
-                                    Response::JobRejected { client_job, reason },
-                                );
+                                Response::JobRejected { client_job, reason }
                             }
-                        }
+                        };
+                        outbox.emit(t, session, verdict);
                         // Completions the submit's advance uncovered.
                         Self::collect_completions(
                             &self.fleet,
                             &mut collected,
                             &origin,
-                            |t, session, r| emit(&mut responses, &mut emit_seq, t, session, r),
+                            &mut outbox,
                         );
+                        // The watermark. `Fleet::submit` advanced every
+                        // shard to `t` before offering the job, retiring
+                        // every completion due at or before `t`. What is
+                        // still in flight — offloads and host runs alike,
+                        // which wait in their shard's completion queue
+                        // until they retire — finishes at or after the
+                        // shard clock, now `≥ t`, and later sends are not
+                        // earlier than `t`. So every response found from
+                        // here on is stamped `≥ t`, and the ones stamped
+                        // before `t` are final in `(time, seq)` order.
+                        outbox.frame(Some(t), &mut pipes);
                     }
                     // Stats polls are read-only: they snapshot the fleet
                     // *as of the last submission's advance* and never
@@ -255,29 +291,15 @@ impl Daemon {
                     // byte-identically with or without polls.
                     Request::GetStats => {
                         let report = self.stats_report(t);
-                        emit(
-                            &mut responses,
-                            &mut emit_seq,
-                            t,
-                            session,
-                            Response::Stats { report },
-                        );
+                        outbox.emit(t, session, Response::Stats { report });
                     }
                 }
             }
         }
 
         self.fleet.drain()?;
-        Self::collect_completions(&self.fleet, &mut collected, &origin, |t, session, r| {
-            emit(&mut responses, &mut emit_seq, t, session, r)
-        });
-
-        // Deliver responses in global virtual-time order (stable by
-        // emission sequence), so each session's stream is time-sorted.
-        responses.sort_by_key(|&(t, seq, _, _)| (t, seq));
-        for (_, _, session, response) in responses {
-            pipes[session].server_send(&encode(&response));
-        }
+        Self::collect_completions(&self.fleet, &mut collected, &origin, &mut outbox);
+        outbox.frame(None, &mut pipes);
         Ok(pipes
             .into_iter()
             .map(|mut p| SessionLog {
@@ -323,8 +345,8 @@ impl Daemon {
     fn collect_completions(
         fleet: &Fleet,
         collected: &mut usize,
-        origin: &BTreeMap<u64, (usize, u64)>,
-        mut emit: impl FnMut(u64, usize, Response),
+        origin: &[Option<(usize, u64)>],
+        outbox: &mut Outbox,
     ) {
         let records = fleet.completed();
         while *collected < records.len() {
@@ -336,10 +358,10 @@ impl Daemon {
                 // Rejections were answered at submit time.
                 JobOutcome::Rejected { .. } => continue,
             };
-            let Some(&(session, client_job)) = origin.get(&fr.record.job.id) else {
+            let Some(&Some((session, client_job))) = origin.get(fr.record.job.id as usize) else {
                 continue;
             };
-            emit(
+            outbox.emit(
                 finish,
                 session,
                 Response::JobComplete {

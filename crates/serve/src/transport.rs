@@ -34,9 +34,12 @@ impl Duplex {
         self.to_server.extend_from_slice(bytes);
     }
 
-    /// Server side: takes everything the client has sent so far.
-    pub fn server_drain(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.to_server)
+    /// Server side: takes everything the client has sent so far. The
+    /// queue is emptied when the returned drain is dropped and keeps its
+    /// capacity, so a steady request stream stops allocating once the
+    /// pipe has grown to its largest burst.
+    pub fn server_drain(&mut self) -> std::vec::Drain<'_, u8> {
+        self.to_server.drain(..)
     }
 
     /// Server side: sends bytes toward the client.
@@ -71,10 +74,10 @@ mod tests {
         d.server_send(b"xy");
         assert_eq!(d.pending_to_server(), 3);
         assert_eq!(d.pending_to_client(), 2);
-        assert_eq!(d.server_drain(), b"abc");
-        assert_eq!(d.server_drain(), b"");
+        assert_eq!(d.server_drain().as_slice(), b"abc");
+        assert_eq!(d.server_drain().as_slice(), b"");
         d.client_send(b"d");
-        assert_eq!(d.server_drain(), b"d");
+        assert_eq!(d.server_drain().as_slice(), b"d");
         assert_eq!(d.client_drain(), b"xy");
         assert_eq!(d.pending_to_client(), 0);
     }

@@ -138,9 +138,18 @@ pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, DecodeError> 
 }
 
 /// An incremental frame decoder over a byte stream.
+///
+/// The decoder keeps a read cursor into its buffer: popping a frame
+/// only moves the cursor, so decoding a stream of `n` frames costs
+/// O(n) however it is chunked. The consumed prefix is compacted away in
+/// [`Decoder::push`], and only once it is at least half the buffer, so
+/// each byte is moved at most once per time the buffer halves —
+/// amortised O(1) per byte pushed.
 #[derive(Debug, Default, Clone)]
 pub struct Decoder {
     buf: Vec<u8>,
+    /// Start of the unconsumed bytes in `buf`.
+    pos: usize,
 }
 
 impl Decoder {
@@ -152,12 +161,22 @@ impl Decoder {
     /// Appends stream bytes (any chunking, including one byte at a
     /// time).
     pub fn push(&mut self, bytes: &[u8]) {
+        if self.pos > 0 && self.pos * 2 >= self.buf.len() {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes currently buffered (a partial frame, between frames: 0).
+    /// Bytes currently buffered and not yet consumed (a partial frame;
+    /// between frames: 0).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
+    }
+
+    /// The unconsumed bytes.
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.pos..]
     }
 
     /// Pops the next complete frame's payload, `Ok(None)` when the
@@ -169,47 +188,54 @@ impl Decoder {
     /// oversized length) as soon as the offending header bytes are
     /// visible — before waiting for the declared payload.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, DecodeError> {
-        if self.buf.len() >= 2 {
-            let found = [self.buf[0], self.buf[1]];
-            if found != MAGIC {
-                return Err(DecodeError::BadMagic { found });
-            }
-        }
-        if self.buf.len() >= 3 {
-            let found = self.buf[2];
-            if found != PROTOCOL_VERSION {
-                return Err(DecodeError::UnknownVersion { found });
-            }
-        }
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let declared =
-            u32::from_le_bytes([self.buf[3], self.buf[4], self.buf[5], self.buf[6]]) as u64;
-        if declared > MAX_PAYLOAD as u64 {
-            return Err(DecodeError::Oversized { declared });
-        }
-        let total = HEADER_LEN + declared as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload = self.buf[HEADER_LEN..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some(payload))
+        Ok(self.next_payload()?.map(|range| self.buf[range].to_vec()))
     }
 
     /// Pops the next complete frame decoded as a typed message,
-    /// `Ok(None)` when no complete frame is buffered.
+    /// `Ok(None)` when no complete frame is buffered. The payload is
+    /// decoded in place, straight from the buffer.
     ///
     /// # Errors
     ///
     /// Everything [`Decoder::next_frame`] reports, plus
     /// [`DecodeError::Malformed`] for undecodable payloads.
     pub fn next_message<T: Deserialize>(&mut self) -> Result<Option<T>, DecodeError> {
-        match self.next_frame()? {
-            Some(payload) => decode_payload(&payload).map(Some),
+        match self.next_payload()? {
+            Some(range) => decode_payload(&self.buf[range]).map(Some),
             None => Ok(None),
         }
+    }
+
+    /// Validates the next frame's header and, when the whole frame is
+    /// buffered, consumes it and returns its payload's range in `buf`.
+    fn next_payload(&mut self) -> Result<Option<std::ops::Range<usize>>, DecodeError> {
+        let pending = self.pending();
+        if pending.len() >= 2 {
+            let found = [pending[0], pending[1]];
+            if found != MAGIC {
+                return Err(DecodeError::BadMagic { found });
+            }
+        }
+        if pending.len() >= 3 {
+            let found = pending[2];
+            if found != PROTOCOL_VERSION {
+                return Err(DecodeError::UnknownVersion { found });
+            }
+        }
+        if pending.len() < HEADER_LEN {
+            return Ok(None);
+        }
+        let declared = u32::from_le_bytes([pending[3], pending[4], pending[5], pending[6]]) as u64;
+        if declared > MAX_PAYLOAD as u64 {
+            return Err(DecodeError::Oversized { declared });
+        }
+        let total = HEADER_LEN + declared as usize;
+        if pending.len() < total {
+            return Ok(None);
+        }
+        let start = self.pos + HEADER_LEN;
+        self.pos += total;
+        Ok(Some(start..self.pos))
     }
 
     /// Declares the stream ended: leftover bytes mean a frame was cut
@@ -219,18 +245,19 @@ impl Decoder {
     ///
     /// [`DecodeError::Truncated`] when a partial frame is buffered.
     pub fn finish(&self) -> Result<(), DecodeError> {
-        if self.buf.is_empty() {
+        let pending = self.pending();
+        if pending.is_empty() {
             return Ok(());
         }
-        let missing = if self.buf.len() < HEADER_LEN {
-            HEADER_LEN - self.buf.len()
+        let missing = if pending.len() < HEADER_LEN {
+            HEADER_LEN - pending.len()
         } else {
             let declared =
-                u32::from_le_bytes([self.buf[3], self.buf[4], self.buf[5], self.buf[6]]) as usize;
-            HEADER_LEN + declared - self.buf.len()
+                u32::from_le_bytes([pending[3], pending[4], pending[5], pending[6]]) as usize;
+            HEADER_LEN + declared - pending.len()
         };
         Err(DecodeError::Truncated {
-            buffered: self.buf.len(),
+            buffered: pending.len(),
             missing,
         })
     }

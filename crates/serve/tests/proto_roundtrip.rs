@@ -3,10 +3,14 @@
 //! plus a no-panic property on adversarial byte streams. The targeted
 //! adversarial cases (bad magic, bad version, oversized, truncated,
 //! malformed JSON) are unit-tested in `wire.rs`; these properties cover
-//! the combinatorial space around them.
+//! the combinatorial space around them, including the decoder's read
+//! cursor: strict prefixes and arbitrary push/pop interleavings.
 
 use mpsoc_sched::{KernelId, RejectReason};
-use mpsoc_serve::{encode, Decoder, FleetSlo, Request, Response, ShardSlo, StatsReport};
+use mpsoc_serve::wire::HEADER_LEN;
+use mpsoc_serve::{
+    encode, DecodeError, Decoder, FleetSlo, Request, Response, ShardSlo, StatsReport,
+};
 use proptest::prelude::*;
 
 /// Deterministically maps free u64 dice onto a `Request`. Every 5th
@@ -195,6 +199,100 @@ proptest! {
             }
         }
         prop_assert_eq!(got, msgs);
+        prop_assert!(dec.finish().is_ok());
+    }
+
+    /// Every strict prefix of a valid frame — read after a frame that
+    /// was already consumed, so the decoder's cursor sits mid-buffer —
+    /// is "need more bytes", never a message or an error, and a stream
+    /// that ends there is `Truncated` by exactly the missing byte count
+    /// (of the header while it is incomplete, else of the frame). The
+    /// rest of the frame then yields the message.
+    #[test]
+    fn strict_prefixes_wait_then_truncate(
+        variant in any::<u64>(),
+        client_job in any::<u64>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        c in any::<u64>(),
+    ) {
+        let lead = response_from((variant ^ 1, client_job >> 1, b, c, a));
+        let msg = response_from((variant, client_job, a, b, c));
+        let frame = encode(&msg);
+        for cut in 1..frame.len() {
+            let mut dec = Decoder::new();
+            dec.push(&encode(&lead));
+            dec.push(&frame[..cut]);
+            prop_assert_eq!(dec.next_message::<Response>().unwrap(), Some(lead.clone()));
+            prop_assert_eq!(dec.next_message::<Response>().unwrap(), None);
+            prop_assert_eq!(dec.buffered(), cut);
+            let missing = if cut < HEADER_LEN {
+                HEADER_LEN - cut
+            } else {
+                frame.len() - cut
+            };
+            prop_assert_eq!(
+                dec.finish(),
+                Err(DecodeError::Truncated { buffered: cut, missing })
+            );
+            dec.push(&frame[cut..]);
+            prop_assert_eq!(dec.next_message::<Response>().unwrap(), Some(msg.clone()));
+            prop_assert_eq!(dec.buffered(), 0);
+            prop_assert!(dec.finish().is_ok());
+        }
+    }
+
+    /// Any interleaving of `push` and `next_message` over a multi-frame
+    /// stream decodes the same messages as one whole push, and after
+    /// every step `buffered()` is exactly the bytes pushed minus the
+    /// bytes of the frames consumed — whenever the decoder compacts.
+    #[test]
+    fn interleaved_push_and_pop_match_one_push(
+        seeds in prop::collection::vec(any::<u64>(), 1..24),
+        steps in prop::collection::vec((1usize..600, 0usize..4), 1..16),
+    ) {
+        let msgs: Vec<Response> = seeds
+            .iter()
+            .map(|&s| response_from((s, s ^ 0x9e37, s >> 3, s >> 7, s >> 11)))
+            .collect();
+        let frames: Vec<Vec<u8>> = msgs.iter().map(encode).collect();
+        let stream = frames.concat();
+
+        let mut whole = Decoder::new();
+        whole.push(&stream);
+        let mut expected = Vec::new();
+        while let Some(m) = whole.next_message::<Response>().unwrap() {
+            expected.push(m);
+        }
+        prop_assert_eq!(&expected, &msgs);
+
+        let mut dec = Decoder::new();
+        let mut got: Vec<Response> = Vec::new();
+        let (mut pushed, mut consumed) = (0usize, 0usize);
+        for &(chunk, pops) in steps.iter().cycle() {
+            if pushed == stream.len() {
+                break;
+            }
+            let end = (pushed + chunk).min(stream.len());
+            dec.push(&stream[pushed..end]);
+            pushed = end;
+            prop_assert_eq!(dec.buffered(), pushed - consumed);
+            for _ in 0..pops {
+                let Some(m) = dec.next_message::<Response>().unwrap() else {
+                    break;
+                };
+                consumed += frames[got.len()].len();
+                got.push(m);
+                prop_assert_eq!(dec.buffered(), pushed - consumed);
+            }
+        }
+        while let Some(m) = dec.next_message::<Response>().unwrap() {
+            consumed += frames[got.len()].len();
+            got.push(m);
+            prop_assert_eq!(dec.buffered(), pushed - consumed);
+        }
+        prop_assert_eq!(got, msgs);
+        prop_assert_eq!(dec.buffered(), 0);
         prop_assert!(dec.finish().is_ok());
     }
 

@@ -10,7 +10,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 pub use serde::Value;
 use serde::{Deserialize, Serialize};
@@ -76,8 +76,8 @@ fn write_value(
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(u) => out.push_str(&u.to_string()),
-        Value::I64(i) => out.push_str(&i.to_string()),
+        Value::U64(u) => write!(out, "{u}").expect("writing to a String cannot fail"),
+        Value::I64(i) => write!(out, "{i}").expect("writing to a String cannot fail"),
         Value::F64(f) => {
             if !f.is_finite() {
                 return Err(Error::new("non-finite float is not representable in JSON"));
@@ -133,29 +133,42 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs of bytes that need no
+/// escaping are copied whole; every escapable byte is ASCII, so the
+/// runs always split `s` at character boundaries.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
         }
+        plain = i + 1;
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -268,67 +281,60 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a string literal. Runs between escapes are copied whole
+    /// (they end at an ASCII `"` or `\`, so at character boundaries);
+    /// a string with no escape is one slice of the input.
     fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error::new("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pairs: read the low half if present.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xD800) << 10)
-                                        + (low.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.unwrap_or('\u{FFFD}'));
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::new("unterminated string"))?;
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
+            let closing = self.bytes[self.pos] == b'"';
+            self.pos += 1;
+            if closing {
+                return Ok(out);
+            }
+            // A backslash: decode one escape.
+            let esc = self
+                .peek()
+                .ok_or_else(|| Error::new("unterminated escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let code = self.hex4()?;
+                    // Surrogate pairs: read the low half if present.
+                    let c = if (0xD800..0xDC00).contains(&code) {
+                        if self.peek() == Some(b'\\') {
+                            self.pos += 1;
+                            self.expect(b'u')?;
+                            let low = self.hex4()?;
+                            let combined = 0x10000
+                                + ((code - 0xD800) << 10)
+                                + (low.wrapping_sub(0xDC00) & 0x3FF);
+                            char::from_u32(combined)
+                        } else {
+                            None
                         }
-                        other => {
-                            return Err(Error::new(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
+                    } else {
+                        char::from_u32(code)
+                    };
+                    out.push(c.unwrap_or('\u{FFFD}'));
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is valid UTF-8).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|&b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                }
+                other => return Err(Error::new(format!("invalid escape `\\{}`", other as char))),
             }
         }
     }
