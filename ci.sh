@@ -29,8 +29,8 @@ for lib in crates/*/src/lib.rs; do
         || { echo "missing #![forbid(unsafe_code)] in $lib"; exit 1; }
 done
 
-echo "==> rustdoc -D warnings (mpsoc-lint API docs must stay clean)"
-RUSTDOCFLAGS="-D warnings" cargo doc -q -p mpsoc-lint --no-deps
+echo "==> rustdoc -D warnings (every crate's API docs, intra-doc links included, must stay clean)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings

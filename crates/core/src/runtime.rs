@@ -205,23 +205,6 @@ impl Offloader {
         })
     }
 
-    /// Builds an offloader with explicit host-runtime costs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OffloadError::Soc`] for an invalid configuration.
-    pub fn with_costs(config: SocConfig, costs: RuntimeCosts) -> Result<Self, OffloadError> {
-        let clusters = config.clusters;
-        Ok(Offloader {
-            soc: Soc::new(config)?,
-            costs,
-            pending: Vec::new(),
-            regions: Vec::new(),
-            strikes: vec![0; clusters],
-            quarantined: ClusterMask::default(),
-        })
-    }
-
     /// The SoC configuration in effect.
     pub fn config(&self) -> &SocConfig {
         self.soc.config()

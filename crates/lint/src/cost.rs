@@ -89,15 +89,6 @@ impl CycleBounds {
         }
     }
 
-    /// Widens only the worst side by `extra` (saturating).
-    #[must_use]
-    pub fn widen_worst(self, extra: u64) -> Self {
-        CycleBounds {
-            best: self.best,
-            worst: self.worst.saturating_add(extra),
-        }
-    }
-
     /// `best <= worst` — every constructor must preserve this.
     pub fn is_well_formed(self) -> bool {
         self.best <= self.worst

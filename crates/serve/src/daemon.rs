@@ -320,12 +320,7 @@ impl Daemon {
     /// what [`Request::GetStats`] gets) or after a drain.
     pub fn stats_report(&self, time: u64) -> StatsReport {
         let slo = FleetSlo::from_fleet(&self.fleet);
-        let view = self.fleet.fleet_view();
-        let counters: Vec<(String, u64)> = view
-            .stats()
-            .counters()
-            .map(|(name, value)| (name.to_owned(), value))
-            .collect();
+        let counters = self.fleet.counters();
         let reject_reasons = counters
             .iter()
             .filter_map(|(name, value)| {

@@ -34,9 +34,11 @@
 //!   rejection becomes final; the failed attempt's record is withdrawn
 //!   so every job still resolves exactly once.
 //! - **Telemetry**: one [`StatsRegistry`] per shard (accept/reject/steal
-//!   counters, completion-latency histogram, the `serve.health.*`
-//!   family), merged on demand into a fleet-wide [`FleetView`] whose
-//!   histogram merge is exact.
+//!   counters, completion-latency histogram, the `serve.health.*` and
+//!   `serve.cost.*` families) — the single source every report reads.
+//!   [`FleetSlo`](crate::FleetSlo) sums and merges them directly, and
+//!   the stats report's counter list comes from one function here,
+//!   the only place the `shard<i>.` prefix is written.
 //!
 //! Everything iterates in shard-index order and all state lives in
 //! ordered containers, so a fixed (config, job stream) pair replays to
@@ -44,12 +46,14 @@
 //!
 //! [`RejectReason::QueueFull`]: mpsoc_sched::RejectReason::QueueFull
 
+use std::collections::BTreeMap;
+
 use mpsoc_noc::ClusterMask;
 use mpsoc_sched::{
     CostGate, FifoFirstFit, Job, JobOutcome, JobRecord, KernelId, ModelTable, RejectReason,
     SchedError, ServiceBackend, ShardDecision, ShardSim,
 };
-use mpsoc_telemetry::{FleetView, StatsRegistry};
+use mpsoc_telemetry::StatsRegistry;
 use serde::{Deserialize, Serialize};
 
 /// How the balancer picks a shard for each arriving job.
@@ -160,6 +164,8 @@ pub struct Fleet {
     next_job_id: u64,
     submitted: u64,
     completed: Vec<FleetRecord>,
+    /// Latest finish cycle among the completions in `completed`.
+    makespan: u64,
     /// Last state code published to `serve.health.shard_state`, per
     /// shard (the counter carries the delta on each transition).
     state_logged: Vec<u64>,
@@ -209,6 +215,7 @@ impl Fleet {
             next_job_id: 0,
             submitted: 0,
             completed: Vec::new(),
+            makespan: 0,
             state_logged: vec![0; config.shards],
             config,
         }
@@ -250,10 +257,25 @@ impl Fleet {
         &self.stats
     }
 
-    /// The merged fleet view: global counters/histograms plus
-    /// `shard<i>.`-prefixed per-shard breakdowns.
-    pub fn fleet_view(&self) -> FleetView {
-        FleetView::with_shards(self.stats.iter())
+    /// Every counter a stats report carries, name-sorted: the fleet
+    /// totals (each name summed over shards) and a `shard<i>.`-prefixed
+    /// copy of every counter shard `i` holds, zero-valued ones included.
+    /// This is the one place the prefix is written;
+    /// [`crate::metrics`] is the one place that parses it.
+    pub(crate) fn counters(&self) -> Vec<(String, u64)> {
+        let mut all: BTreeMap<String, u64> = BTreeMap::new();
+        for (i, stats) in self.stats.iter().enumerate() {
+            for (name, value) in stats.counters() {
+                *all.entry(name.to_owned()).or_default() += value;
+                all.insert(format!("shard{i}.{name}"), value);
+            }
+        }
+        all.into_iter().collect()
+    }
+
+    /// The last completion cycle so far (0 before any completion).
+    pub(crate) fn makespan(&self) -> u64 {
+        self.makespan
     }
 
     /// Direct access to a shard (load inspection, tests).
@@ -583,7 +605,8 @@ impl Fleet {
         for record in self.shards[i].drain_finished() {
             let reg = &mut self.stats[i];
             match record.outcome {
-                JobOutcome::Offloaded { .. } => {
+                JobOutcome::Offloaded { finish, .. } => {
+                    self.makespan = self.makespan.max(finish);
                     reg.incr("serve.offloaded");
                     if let Some(l) = record.latency() {
                         reg.observe("serve.latency", l as f64);
@@ -593,7 +616,8 @@ impl Fleet {
                     }
                     reg.add("serve.retries", u64::from(record.retries));
                 }
-                JobOutcome::Host { .. } => {
+                JobOutcome::Host { finish, .. } => {
+                    self.makespan = self.makespan.max(finish);
                     reg.incr("serve.host_runs");
                     if let Some(l) = record.latency() {
                         reg.observe("serve.latency", l as f64);
@@ -653,6 +677,11 @@ mod tests {
 
     fn fleet(placement: PlacementPolicy) -> Fleet {
         Fleet::analytic(config(placement), &ModelTable::paper_defaults())
+    }
+
+    /// The fleet total of counter `name`.
+    fn total(f: &Fleet, name: &str) -> u64 {
+        f.shard_stats().iter().map(|s| s.counter(name)).sum()
     }
 
     #[test]
@@ -759,8 +788,7 @@ mod tests {
             }
         }
         assert!(rejected > 0, "saturation must trip backpressure");
-        let view = f.fleet_view();
-        assert_eq!(view.stats().counter("serve.queue_full"), rejected);
+        assert_eq!(total(&f, "serve.queue_full"), rejected);
         f.drain().expect("drain");
         assert_eq!(f.completed().len(), 8, "every job resolves exactly once");
     }
@@ -797,11 +825,10 @@ mod tests {
         // Advance a little so shard 1 finishes nothing yet but the
         // balancer sees shard 0's queue.
         f.advance(100).expect("advance");
-        let view = f.fleet_view();
         assert!(
-            view.stats().counter("serve.steals_in") > 0,
+            total(&f, "serve.steals_in") > 0,
             "idle shard must steal: {:?}",
-            view.stats().counters().collect::<Vec<_>>()
+            f.counters()
         );
         f.drain().expect("drain");
         assert_eq!(f.completed().len(), 10);
@@ -860,11 +887,10 @@ mod tests {
         f.quarantine_shard(0, ClusterMask::single(0));
         assert_eq!(f.shard_state(0), ShardState::Dead);
         f.drain().expect("drain");
-        let view = f.fleet_view();
         assert!(
-            view.stats().counter("serve.health.failovers") > 0,
+            total(&f, "serve.health.failovers") > 0,
             "the dead shard's queue must evacuate: {:?}",
-            view.stats().counters().collect::<Vec<_>>()
+            f.counters()
         );
         // Nothing admitted is lost: every job resolves as a completion,
         // not a stranded DegradedMachine rejection.
@@ -917,7 +943,7 @@ mod tests {
         f.quarantine_shard(0, ClusterMask::single(1));
         assert_eq!(f.shard_state(0), ShardState::Degraded);
         f.drain().expect("drain");
-        assert!(f.fleet_view().stats().counter("serve.health.failovers") > 0);
+        assert!(total(&f, "serve.health.failovers") > 0);
         assert_eq!(f.completed().len(), 3);
         let wide = f
             .completed()
@@ -943,7 +969,7 @@ mod tests {
         f.quarantine_shard(0, ClusterMask::single(1));
         f.quarantine_shard(1, ClusterMask::single(1));
         f.drain().expect("drain");
-        assert_eq!(f.fleet_view().stats().counter("serve.health.failovers"), 0);
+        assert_eq!(total(&f, "serve.health.failovers"), 0);
         assert_eq!(f.completed().len(), 3);
         let wide = f
             .completed()
@@ -1001,7 +1027,7 @@ mod tests {
             .count();
         assert!(stranded > 0, "queued work on the dead shard must strand");
         assert_eq!(f.completed().len(), 6);
-        assert_eq!(f.fleet_view().stats().counter("serve.health.failovers"), 0);
+        assert_eq!(total(&f, "serve.health.failovers"), 0);
     }
 
     #[test]
@@ -1031,20 +1057,14 @@ mod tests {
         };
         let strict = run(0);
         let healed = run(1);
-        let queue_full = |f: &Fleet| f.fleet_view().stats().counter("serve.queue_full");
+        let queue_full = |f: &Fleet| total(f, "serve.queue_full");
         assert!(
             queue_full(&healed) < queue_full(&strict),
             "redirection must convert backpressure rejections into work: {} vs {}",
             queue_full(&healed),
             queue_full(&strict)
         );
-        assert!(
-            healed
-                .fleet_view()
-                .stats()
-                .counter("serve.health.redirects")
-                > 0
-        );
+        assert!(total(&healed, "serve.health.redirects") > 0);
         // Exactly-once resolution under withdrawal: 12 records, one per
         // distinct job.
         for f in [&strict, &healed] {
@@ -1094,27 +1114,5 @@ mod tests {
             serde_json::to_string(&f.completed().to_vec()).expect("serialize")
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn fleet_view_merges_per_shard_latencies() {
-        let mut f = fleet(PlacementPolicy::RoundRobin);
-        for i in 0..16u64 {
-            f.submit(KernelId::Daxpy, 1024, 100_000, i * 1000)
-                .expect("submit");
-        }
-        f.drain().expect("drain");
-        let view = f.fleet_view();
-        let global = view.stats().histogram("serve.latency");
-        let per_shard: u64 = (0..4)
-            .map(|i| {
-                view.stats()
-                    .histogram(&format!("shard{i}.serve.latency"))
-                    .count()
-            })
-            .sum();
-        assert_eq!(global.count(), 16);
-        assert_eq!(per_shard, 16);
-        assert!(view.quantile("serve.latency", 0.99).is_some());
     }
 }

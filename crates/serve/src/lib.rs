@@ -16,8 +16,8 @@
 //!    [`Decoder`] and typed [`DecodeError`]s for truncated, oversized,
 //!    bad-magic and bad-version streams.
 //! 3. **Transport** ([`transport`]) — deterministic in-process duplex
-//!    pipes (CI needs no sockets); a real TCP front door behind the
-//!    `tcp` feature.
+//!    pipes, which every study runs on; a std-only TCP front door
+//!    ([`tcp`]) serves the same daemon over real sockets.
 //! 4. **Fleet** ([`fleet`]) — independent [`ShardSim`] machines behind a
 //!    balancer with pluggable placement (round-robin, least-loaded,
 //!    model-guided on Eq. 1 backlog), queue-depth backpressure, work
@@ -28,7 +28,8 @@
 //! 5. **Daemon** ([`daemon`]) — the event loop tying scripts → frames →
 //!    fleet → time-ordered response streams, deterministically.
 //! 6. **SLO** ([`slo`]) — fleet p50/p99 from exact per-shard histogram
-//!    merges, attainment, utilization, steal/reject accounting.
+//!    merges, attainment, utilization, steal/reject accounting, all read
+//!    straight from the shards' registries in O(shards).
 //! 7. **Metrics** ([`metrics`]) — the live [`StatsReport`] rendered as
 //!    canonical JSON or Prometheus-style text for scrapers, with
 //!    per-shard counters folded into `{shard=…}` labels.
@@ -80,7 +81,6 @@ pub mod fleet;
 pub mod metrics;
 pub mod proto;
 pub mod slo;
-#[cfg(feature = "tcp")]
 pub mod tcp;
 pub mod transport;
 pub mod wire;

@@ -3,14 +3,22 @@
 //! The serving SLO here is latency-against-deadline: a job *attains* its
 //! SLO when it completes by its submission-relative deadline. Rejected
 //! jobs (admission or backpressure) count against attainment — turning
-//! work away is a served "no", not a free pass. Quantiles come from the
-//! exact merge of per-shard log-bucketed histograms, so fleet p50/p99
-//! carry the same 1/16 relative-error bound as any single shard's.
+//! work away is a served "no", not a free pass.
+//!
+//! [`FleetSlo::from_fleet`] reads the fleet's per-shard
+//! [`StatsRegistry`](mpsoc_sim::stats::StatsRegistry)s and nothing else
+//! that grows with the jobs served: totals are sums over shards,
+//! `deadline_met` is completions minus the `serve.deadline_missed`
+//! counter, and `makespan` is the running max the fleet keeps. Fleet
+//! quantiles come from the exact merge of the per-shard log-bucketed
+//! histograms, so fleet p50/p99 carry the same 1/16 relative-error bound
+//! as any single shard's. A summary, and so every `GetStats` poll, costs
+//! O(shards).
 
 use serde::{Deserialize, Serialize};
 
-use crate::fleet::Fleet;
-use mpsoc_sched::JobOutcome;
+use crate::fleet::{Fleet, ShardState};
+use mpsoc_sim::stats::{Histogram, Summary};
 
 /// Per-shard slice of the fleet summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -103,78 +111,72 @@ pub struct FleetSlo {
 }
 
 impl FleetSlo {
-    /// Summarizes a fleet after (or during) a run.
+    /// Summarizes a fleet after (or during) a run. Reads only the
+    /// per-shard registries and the fleet's running makespan, so a
+    /// summary costs O(shards), not O(jobs served).
     pub fn from_fleet(fleet: &Fleet) -> Self {
-        let view = fleet.fleet_view();
-        let stats = view.stats();
         let config = fleet.config();
-        let makespan = fleet
-            .completed()
-            .iter()
-            .filter_map(|fr| match fr.record.outcome {
-                JobOutcome::Offloaded { finish, .. } | JobOutcome::Host { finish, .. } => {
-                    Some(finish)
-                }
-                JobOutcome::Rejected { .. } => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let deadline_met = fleet
-            .completed()
-            .iter()
-            .filter(|fr| {
-                !matches!(fr.record.outcome, JobOutcome::Rejected { .. })
-                    && !fr.record.missed_deadline()
-            })
-            .count() as u64;
+        let stats = fleet.shard_stats();
+        let total = |name: &str| stats.iter().map(|s| s.counter(name)).sum::<u64>();
+        let makespan = fleet.makespan();
+        let capacity = (config.clusters_per_shard as u64) * makespan;
+        // Fleet latency: the shard series merged in shard order. The
+        // bucket merge is exact, and the summary fold adds the shard
+        // sums in a fixed order, so the mean is bit-stable.
+        let mut latency = Histogram::new();
+        let mut latency_summary = Summary::new();
+        let mut per_shard = Vec::with_capacity(stats.len());
+        for (i, reg) in stats.iter().enumerate() {
+            let shard_hist = reg.histogram("serve.latency");
+            latency.merge(&shard_hist);
+            latency_summary.merge(&reg.summary("serve.latency"));
+            per_shard.push(ShardSlo {
+                shard: i as u32,
+                accepted: reg.counter("serve.accepted"),
+                rejected: reg.counter("serve.rejected"),
+                queue_full: reg.counter("serve.queue_full"),
+                offloaded: reg.counter("serve.offloaded"),
+                host_runs: reg.counter("serve.host_runs"),
+                steals_out: reg.counter("serve.steals_out"),
+                steals_in: reg.counter("serve.steals_in"),
+                state: fleet.shard_state(i).name().to_owned(),
+                quarantined_clusters: reg.counter("serve.health.quarantined_clusters"),
+                failovers: reg.counter("serve.health.failovers"),
+                redirects: reg.counter("serve.health.redirects"),
+                p50: shard_hist.p50(),
+                p99: shard_hist.p99(),
+                utilization: if capacity == 0 {
+                    0.0
+                } else {
+                    fleet.shard(i).busy_cluster_cycles() as f64 / capacity as f64
+                },
+            });
+        }
         let submitted = fleet.submitted();
-        let latency = stats.histogram("serve.latency");
-        let per_shard = (0..config.shards)
-            .map(|i| {
-                let shard_hist = stats.histogram(&format!("shard{i}.serve.latency"));
-                let c = |name: &str| stats.counter(&format!("shard{i}.serve.{name}"));
-                let capacity = (config.clusters_per_shard as u64) * makespan;
-                ShardSlo {
-                    shard: i as u32,
-                    accepted: c("accepted"),
-                    rejected: c("rejected"),
-                    queue_full: c("queue_full"),
-                    offloaded: c("offloaded"),
-                    host_runs: c("host_runs"),
-                    steals_out: c("steals_out"),
-                    steals_in: c("steals_in"),
-                    state: fleet.shard_state(i).name().to_owned(),
-                    quarantined_clusters: c("health.quarantined_clusters"),
-                    failovers: c("health.failovers"),
-                    redirects: c("health.redirects"),
-                    p50: shard_hist.p50(),
-                    p99: shard_hist.p99(),
-                    utilization: if capacity == 0 {
-                        0.0
-                    } else {
-                        fleet.shard(i).busy_cluster_cycles() as f64 / capacity as f64
-                    },
-                }
-            })
-            .collect();
+        let offloaded = total("serve.offloaded");
+        let host_runs = total("serve.host_runs");
+        let completed = offloaded + host_runs;
+        // Every completion passes through `Fleet::collect`, which counts
+        // the ones that missed; rejections never miss.
+        let deadline_met = completed - total("serve.deadline_missed");
         FleetSlo {
             placement: config.placement.name().to_owned(),
             shards: config.shards as u64,
             clusters_per_shard: config.clusters_per_shard as u64,
             submitted,
-            completed: stats.counter("serve.offloaded") + stats.counter("serve.host_runs"),
-            offloaded: stats.counter("serve.offloaded"),
-            host_runs: stats.counter("serve.host_runs"),
-            rejected: stats.counter("serve.rejected"),
-            queue_full: stats.counter("serve.queue_full"),
-            steals: stats.counter("serve.steals_in"),
-            retries: stats.counter("serve.retries"),
-            quarantined_clusters: stats.counter("serve.health.quarantined_clusters"),
+            completed,
+            offloaded,
+            host_runs,
+            rejected: total("serve.rejected"),
+            queue_full: total("serve.queue_full"),
+            steals: total("serve.steals_in"),
+            retries: total("serve.retries"),
+            quarantined_clusters: total("serve.health.quarantined_clusters"),
             dead_shards: (0..config.shards)
-                .filter(|&i| fleet.shard_state(i) == crate::fleet::ShardState::Dead)
+                .filter(|&i| fleet.shard_state(i) == ShardState::Dead)
                 .count() as u64,
-            failovers: stats.counter("serve.health.failovers"),
-            redirects: stats.counter("serve.health.redirects"),
+            failovers: total("serve.health.failovers"),
+            redirects: total("serve.health.redirects"),
             deadline_met,
             attainment: if submitted == 0 {
                 1.0
@@ -183,7 +185,7 @@ impl FleetSlo {
             },
             p50: latency.p50(),
             p99: latency.p99(),
-            mean_latency: stats.summary("serve.latency").mean().unwrap_or(0.0),
+            mean_latency: latency_summary.mean().unwrap_or(0.0),
             makespan,
             per_shard,
         }
@@ -193,8 +195,187 @@ impl FleetSlo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{FleetConfig, PlacementPolicy};
-    use mpsoc_sched::{KernelId, ModelTable};
+    use crate::fleet::{FleetConfig, PlacementPolicy, ALL_PLACEMENTS};
+    use mpsoc_noc::ClusterMask;
+    use mpsoc_sched::{JobOutcome, KernelId, ModelTable};
+    use proptest::prelude::*;
+
+    /// The brute-force reference: `(deadline_met, makespan)` from a scan
+    /// over every record the fleet resolved.
+    fn scan(fleet: &Fleet) -> (u64, u64) {
+        let completions = || {
+            fleet
+                .completed()
+                .iter()
+                .filter(|fr| !matches!(fr.record.outcome, JobOutcome::Rejected { .. }))
+        };
+        let deadline_met = completions()
+            .filter(|fr| !fr.record.missed_deadline())
+            .count() as u64;
+        let makespan = completions()
+            .filter_map(|fr| match fr.record.outcome {
+                JobOutcome::Offloaded { finish, .. } | JobOutcome::Host { finish, .. } => {
+                    Some(finish)
+                }
+                JobOutcome::Rejected { .. } => None,
+            })
+            .max()
+            .unwrap_or(0);
+        (deadline_met, makespan)
+    }
+
+    /// The fleet latency series recorded by one central observer, in
+    /// resolution order.
+    fn central_latency(fleet: &Fleet) -> (Histogram, Summary) {
+        let mut h = Histogram::new();
+        let mut s = Summary::new();
+        for l in fleet
+            .completed()
+            .iter()
+            .filter_map(|fr| fr.record.latency())
+        {
+            h.record(l);
+            s.record(l as f64);
+        }
+        (h, s)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `deadline_met` and `makespan` come from counters and a running
+        /// max, fleet quantiles from a shard-order merge; all must equal
+        /// a scan of the resolved records, mid-run and after the drain,
+        /// through quarantine, failover, stealing and redirects.
+        #[test]
+        fn summary_matches_a_scan_of_the_records(
+            sizes in (1usize..4, 1usize..4, 1usize..5),
+            policy in (0usize..3, 0u32..3, any::<bool>(), any::<bool>()),
+            jobs in prop::collection::vec((0usize..7, 0u64..6, 0u64..4, 0u64..1_500), 1..60),
+            quarantine_at in 0usize..60,
+        ) {
+            let (shards, clusters, queue_limit) = sizes;
+            let (placement, redirect_budget, steal, failover) = policy;
+            let mut f = Fleet::analytic(
+                FleetConfig {
+                    shards,
+                    clusters_per_shard: clusters,
+                    queue_limit,
+                    placement: ALL_PLACEMENTS[placement],
+                    steal,
+                    redirect_budget,
+                    failover,
+                },
+                &ModelTable::paper_defaults(),
+            );
+            let mut now = 0u64;
+            for (k, &(kernel, size, slack, gap)) in jobs.iter().enumerate() {
+                if k == quarantine_at {
+                    f.quarantine_shard(k % shards, ClusterMask::single(k % clusters));
+                }
+                now += gap;
+                let n = 64u64 << (2 * size);
+                // From hopeless to generous deadlines.
+                let deadline = [300, 6_000, 60_000, 2_000_000][slack as usize];
+                f.submit(KernelId::ALL[kernel], n, deadline, now).expect("submit");
+                if k % 7 == 3 {
+                    let slo = FleetSlo::from_fleet(&f);
+                    prop_assert_eq!((slo.deadline_met, slo.makespan), scan(&f));
+                }
+            }
+            f.drain().expect("drain");
+            let slo = FleetSlo::from_fleet(&f);
+            prop_assert_eq!((slo.deadline_met, slo.makespan), scan(&f));
+            let (hist, summary) = central_latency(&f);
+            prop_assert_eq!(slo.p50, hist.p50());
+            prop_assert_eq!(slo.p99, hist.p99());
+            prop_assert_eq!(slo.mean_latency, summary.mean().unwrap_or(0.0));
+            prop_assert_eq!(slo.completed + slo.rejected, slo.submitted);
+        }
+    }
+
+    #[test]
+    fn the_straggler_tail_survives_the_merge() {
+        // Round-robin over four shards: three serve small jobs, shard 3
+        // serves huge ones. The fleet p99 must come from shard 3's tail
+        // even though three quarters of the samples are fast, and the
+        // fleet p50 from the fast shards.
+        let mut f = Fleet::analytic(
+            FleetConfig {
+                shards: 4,
+                clusters_per_shard: 4,
+                queue_limit: 64,
+                placement: PlacementPolicy::RoundRobin,
+                steal: false,
+                redirect_budget: 0,
+                failover: false,
+            },
+            &ModelTable::paper_defaults(),
+        );
+        for i in 0..80u64 {
+            let n = if i % 4 == 3 { 65_536 } else { 1024 };
+            f.submit(KernelId::Daxpy, n, 10_000_000, i * 100_000)
+                .expect("submit");
+        }
+        f.drain().expect("drain");
+        let slo = FleetSlo::from_fleet(&f);
+        assert_eq!(slo.completed, 80);
+        let slow = &slo.per_shard[3];
+        let fast_p99 = slo.per_shard[..3]
+            .iter()
+            .map(|s| s.p99.expect("fast shards complete"))
+            .max();
+        assert!(
+            slo.p99 >= slow.p50 && slo.p99 > fast_p99,
+            "tail must survive the merge: {:?} vs slow p50 {:?}",
+            slo.p99,
+            slow.p50
+        );
+        // Quantiles report a bucket's upper bound, so the merged median
+        // sits in the fast shards' bucket, far below the slow shard.
+        assert!(slo.p50 < slow.p50, "the median stays with the fast shards");
+    }
+
+    #[test]
+    fn per_shard_breakdowns_add_up_to_the_fleet() {
+        let mut f = Fleet::analytic(
+            FleetConfig {
+                shards: 4,
+                clusters_per_shard: 4,
+                queue_limit: 4,
+                placement: PlacementPolicy::RoundRobin,
+                steal: true,
+                redirect_budget: 0,
+                failover: false,
+            },
+            &ModelTable::paper_defaults(),
+        );
+        for i in 0..16u64 {
+            f.submit(KernelId::Daxpy, 1024, 100_000, i * 1000)
+                .expect("submit");
+        }
+        f.drain().expect("drain");
+        let slo = FleetSlo::from_fleet(&f);
+        assert_eq!(slo.completed, 16);
+        for s in &slo.per_shard {
+            assert_eq!(s.accepted, 4, "round-robin spreads evenly");
+            assert_eq!(s.offloaded + s.host_runs, 4);
+            assert!(s.p50.is_some() && s.p99.is_some());
+        }
+        // The report's counter list carries the same breakdown under
+        // `shard<i>.` names next to the fleet totals, name-sorted.
+        let counters = f.counters();
+        assert!(counters.windows(2).all(|w| w[0].0 < w[1].0));
+        let get = |name: &str| counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
+        assert_eq!(get("serve.accepted"), Some(16));
+        for i in 0..4 {
+            assert_eq!(get(&format!("shard{i}.serve.accepted")), Some(4));
+        }
+        assert_eq!(
+            slo.per_shard.iter().map(|s| s.offloaded).sum::<u64>(),
+            slo.offloaded
+        );
+    }
 
     #[test]
     fn slo_accounting_balances() {

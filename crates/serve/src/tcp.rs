@@ -1,15 +1,15 @@
-//! Optional real-socket front door (feature `tcp`).
+//! A real-socket front door over the daemon, std-only.
 //!
-//! CI and every test run on the deterministic in-process transport; this
-//! module exists so a human can poke the daemon with a real client. It
-//! deliberately trades fidelity for simplicity: connections are served
-//! one at a time, each request is submitted at a virtual time equal to
-//! its order of arrival times a fixed tick, and the connection's jobs
-//! are drained to completion before the responses are written back —
-//! request/response over TCP, not a cycle-accurate wire model.
+//! The studies and the daemon tests run on the deterministic in-process
+//! transport; this module lets a real client poke the daemon over
+//! loopback. It deliberately trades fidelity for simplicity: connections
+//! are served one at a time, each request (a `SubmitJob` or a
+//! `GetStats` poll) is scripted at a virtual time equal to its order of
+//! arrival times a fixed tick, and the connection's jobs are drained to
+//! completion before the responses are written back — request/response
+//! over TCP, not a cycle-accurate wire model.
 //!
-//! Nothing in here is reachable without `--features tcp`, and nothing
-//! else in the crate depends on it.
+//! Nothing else in the crate depends on it.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -80,7 +80,6 @@ fn handle(mut stream: TcpStream, daemon: &mut Daemon) -> std::io::Result<()> {
         }
         decoder.push(&buf[..n]);
         while let Some(request) = decoder.next_message::<Request>().map_err(invalid)? {
-            let Request::SubmitJob { .. } = request;
             script.sends.push((when, request));
             when += TICK;
         }
@@ -150,23 +149,35 @@ mod tests {
         });
         let responses = roundtrip(
             addr,
-            &[Request::SubmitJob {
-                client_job: 5,
-                kernel: KernelId::Daxpy,
-                n: 1024,
-                deadline: 100_000,
-            }],
+            &[
+                Request::SubmitJob {
+                    client_job: 5,
+                    kernel: KernelId::Daxpy,
+                    n: 1024,
+                    deadline: 100_000,
+                },
+                Request::GetStats,
+            ],
         )
         .expect("roundtrip");
         handle.join().expect("server thread");
-        assert_eq!(responses.len(), 2);
+        assert_eq!(responses.len(), 3);
         assert!(matches!(
             responses[0],
             Response::JobAccepted { client_job: 5, .. }
         ));
-        assert!(matches!(
-            responses[1],
-            Response::JobComplete { client_job: 5, .. }
-        ));
+        // The poll is scripted one tick after the submit.
+        let report = responses
+            .iter()
+            .find_map(|r| match r {
+                Response::Stats { report } => Some(report),
+                _ => None,
+            })
+            .expect("the poll is answered");
+        assert_eq!(report.time, TICK);
+        assert_eq!(report.slo.submitted, 1);
+        assert!(responses
+            .iter()
+            .any(|r| matches!(r, Response::JobComplete { client_job: 5, .. })));
     }
 }

@@ -9,7 +9,9 @@
 //!
 //! - [`Cycle`]: a strongly-typed simulation timestamp (1 cycle == 1 ns at
 //!   the paper's 1 GHz testbench clock),
-//! - [`EventQueue`] and [`Engine`]: a total-order, FIFO-stable event loop,
+//! - [`EventQueue`] and [`Scheduler`]: a total-order, FIFO-stable event
+//!   queue and the handle event handlers schedule through (models such
+//!   as the SoC pump their own queue),
 //! - timed hardware resource primitives ([`UnitResource`],
 //!   [`ThroughputResource`], [`BankedResource`]) shared by the memory and
 //!   interconnect models,
@@ -22,35 +24,27 @@
 //! # Example
 //!
 //! ```
-//! use mpsoc_sim::{Cycle, Engine, Scheduler, Simulate};
+//! use mpsoc_sim::{Cycle, EventQueue, Scheduler};
 //!
-//! /// A counter that re-schedules itself three times.
-//! struct Ticker {
-//!     ticks: u32,
-//! }
-//!
-//! impl Simulate for Ticker {
-//!     type Event = ();
-//!
-//!     fn handle(&mut self, sched: &mut Scheduler<()>, _now: Cycle, _ev: ()) {
-//!         self.ticks += 1;
-//!         if self.ticks < 3 {
-//!             sched.schedule_in(Cycle::new(10), ());
-//!         }
+//! // A model owns its queue and pumps it: pop the earliest event,
+//! // attach a scheduler at its time, let the handler push follow-ups.
+//! let mut queue = EventQueue::new();
+//! queue.push(Cycle::ZERO, "tick");
+//! let mut ticks = 0;
+//! while let Some(event) = queue.pop() {
+//!     let (now, _) = event.into_parts();
+//!     ticks += 1;
+//!     let mut sched = Scheduler::attach(&mut queue, now);
+//!     if ticks < 3 {
+//!         sched.schedule_at(now + Cycle::new(10), "tick");
 //!     }
 //! }
-//!
-//! let mut engine = Engine::new(Ticker { ticks: 0 });
-//! engine.schedule_at(Cycle::ZERO, ());
-//! engine.run_to_completion();
-//! assert_eq!(engine.state().ticks, 3);
-//! assert_eq!(engine.now(), Cycle::new(20));
+//! assert_eq!(ticks, 3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
 mod queue;
 mod resource;
 mod time;
@@ -59,7 +53,6 @@ pub mod profile;
 pub mod rng;
 pub mod stats;
 
-pub use engine::{Engine, RunResult, Scheduler, Simulate, StepBudget};
-pub use queue::{EventQueue, ScheduledEvent};
+pub use queue::{EventQueue, ScheduledEvent, Scheduler};
 pub use resource::{BankedResource, ThroughputResource, UnitResource};
 pub use time::Cycle;

@@ -152,6 +152,45 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
+/// Handle through which event handlers schedule future events: an
+/// [`EventQueue`] borrowed at simulation time `now`.
+///
+/// Models own their persistent queue and pump it themselves (pausing,
+/// resuming, interleaving external submissions): pop an event, attach a
+/// scheduler for its delivery, let the handler push follow-ups. The
+/// queue keeps its `(time, seq)` order across attachments, so
+/// determinism is unaffected. Scheduling into the past is a logic
+/// error; see [`Scheduler::schedule_at`].
+#[derive(Debug)]
+pub struct Scheduler<'a, E> {
+    queue: &'a mut EventQueue<E>,
+    now: Cycle,
+}
+
+impl<'a, E> Scheduler<'a, E> {
+    /// Wraps an externally owned queue at simulation time `now`.
+    pub fn attach(queue: &'a mut EventQueue<E>, now: Cycle) -> Self {
+        Scheduler { queue, now }
+    }
+
+    /// Schedules `event` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time: the clock only
+    /// moves forward, and an event in the past would silently corrupt
+    /// causality.
+    pub fn schedule_at(&mut self, at: Cycle, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: now={}, requested={}",
+            self.now,
+            at
+        );
+        self.queue.push(at, event);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,5 +258,23 @@ mod tests {
         assert_eq!(ev.time(), Cycle::new(4));
         assert_eq!(ev.seq(), 0);
         assert_eq!(*ev.event(), 'x');
+    }
+
+    #[test]
+    fn scheduler_pushes_into_the_attached_queue() {
+        let mut q = EventQueue::new();
+        q.push(Cycle::new(7), "queued");
+        let mut sched = Scheduler::attach(&mut q, Cycle::new(5));
+        sched.schedule_at(Cycle::new(5), "now");
+        sched.schedule_at(Cycle::new(7), "later");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| *e.event())).collect();
+        assert_eq!(order, ["now", "queued", "later"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn scheduler_refuses_the_past() {
+        let mut q = EventQueue::new();
+        Scheduler::attach(&mut q, Cycle::new(10)).schedule_at(Cycle::new(5), ());
     }
 }

@@ -359,35 +359,6 @@ impl StatsRegistry {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Iterates over `(name, summary)` pairs in name order.
-    pub fn summaries(&self) -> impl Iterator<Item = (&str, &Summary)> {
-        self.summaries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterates over `(name, histogram)` pairs in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Merges `summary` into the series `name`, creating it if absent —
-    /// the single-series form of [`StatsRegistry::merge`], used when
-    /// aggregating under a different name than the source (e.g. a
-    /// per-shard prefix).
-    pub fn merge_summary_named(&mut self, name: &str, summary: &Summary) {
-        self.summaries
-            .entry(name.to_owned())
-            .or_default()
-            .merge(summary);
-    }
-
-    /// Merges `histogram` into the series `name`, creating it if absent.
-    pub fn merge_histogram_named(&mut self, name: &str, histogram: &Histogram) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .merge(histogram);
-    }
-
     /// Merges another registry into this one (counters add, summaries and
     /// histograms merge).
     pub fn merge(&mut self, other: &StatsRegistry) {
@@ -602,8 +573,7 @@ mod tests {
         assert_eq!(r.histogram("signed").count(), 0);
         assert_eq!(r.summary("signed").count(), 1);
         assert_eq!(r.histogram("missing").count(), 0);
-        let names: Vec<&str> = r.histograms().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["lat"]);
+        assert!(!r.to_string().contains("signed [hist]"));
 
         let mut other = StatsRegistry::new();
         other.observe("lat", 7.0);

@@ -26,7 +26,7 @@ use mpsoc_isa::{Interpreter, MemoryPort, PortError};
 use mpsoc_mem::{Addr, ClusterReg, MainMemory, MemoryMap, Tcdm};
 use mpsoc_noc::{ClusterMask, Interconnect};
 use mpsoc_sim::stats::StatsRegistry;
-use mpsoc_sim::{Cycle, EventQueue, Scheduler, Simulate};
+use mpsoc_sim::{Cycle, EventQueue, Scheduler};
 use mpsoc_telemetry::{EventKind, EventTrace, PhaseBreakdown, Unit};
 
 use crate::cluster::ClusterState;
@@ -1171,9 +1171,9 @@ impl Soc {
     }
 }
 
-impl Simulate for Soc {
-    type Event = SocEvent;
-
+impl Soc {
+    /// Handles one event at `now`; follow-up events go through `sched`
+    /// into the queue [`Soc::pump_one`] delivers from.
     fn handle(&mut self, sched: &mut Scheduler<SocEvent>, now: Cycle, event: SocEvent) {
         if self.fatal.is_some() {
             return;

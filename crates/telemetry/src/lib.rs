@@ -9,6 +9,11 @@
 //! (begin/end/instant) and a span ID — and costs a single branch per
 //! recording site when disabled.
 //!
+//! The statistics types ([`StatsRegistry`], [`Histogram`], [`Summary`])
+//! are re-exported from `mpsoc_sim::stats`. Aggregation lives with the
+//! owner of the registries: a serving fleet sums and merges its
+//! per-shard registries itself (`mpsoc_serve::FleetSlo`).
+//!
 //! # Example
 //!
 //! ```
@@ -27,7 +32,6 @@
 
 pub mod chrome;
 pub mod event;
-pub mod fleet;
 pub mod phase;
 pub mod recorder;
 pub mod throughput;
@@ -44,7 +48,6 @@ pub use chrome::{
     validate_chrome_trace, ChromeTraceSummary,
 };
 pub use event::{EventKind, Mark, TraceEvent, Unit};
-pub use fleet::{aggregate_registries, merge_histograms, FleetView};
 pub use mpsoc_sim::profile::{ProfileNode, ProfileReport, SiteTotal};
 pub use mpsoc_sim::stats::{Histogram, StatsRegistry, Summary};
 pub use phase::{ModelTerms, PhaseBreakdown, ResidualAudit, TermResidual};
