@@ -25,8 +25,9 @@
 //! breaks soundness fails CI against the recorded traces.
 //!
 //! Without `--json`, the deterministic report goes to
-//! `results/cost_study.json`; wall-clock numbers go to the
-//! never-byte-compared `BENCH_cost.json` sidecar.
+//! `results/cost_study.json`; a full (non-`--smoke`) run also writes
+//! its wall-clock numbers to the never-byte-compared `BENCH_cost.json`
+//! sidecar.
 //!
 //! [`ContentionEnvelope`]: mpsoc_lint::ContentionEnvelope
 //! [`PhaseBreakdown`]: mpsoc_telemetry::PhaseBreakdown
@@ -530,14 +531,16 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     write_json(&path, &report)?;
     println!("wrote {}", path.display());
 
-    let cells = (report.rows.len() + report.host_rows.len() + report.cosim.len()) as u64;
-    let bench = write_bench_sidecar(
-        "cost",
-        started.elapsed().as_secs_f64(),
-        cells,
-        report.mean_tightness,
-    )?;
-    println!("wrote {}", bench.display());
+    if !smoke {
+        let cells = (report.rows.len() + report.host_rows.len() + report.cosim.len()) as u64;
+        let bench = write_bench_sidecar(
+            "cost",
+            started.elapsed().as_secs_f64(),
+            cells,
+            report.mean_tightness,
+        )?;
+        println!("wrote {}", bench.display());
+    }
 
     Ok(if report.violations == 0 {
         println!("ok");

@@ -29,28 +29,18 @@ pub(crate) struct MainLayout {
 }
 
 impl MainLayout {
-    /// Plans the placement of a job with `x_words` of `x` operand,
-    /// `n` output elements and `partial_slots` reduction partials.
-    pub fn plan(
-        map: &MemoryMap,
-        x_words: u64,
-        n: u64,
-        partial_slots: u64,
-    ) -> Result<Self, OffloadError> {
-        Self::plan_at(map, 0, x_words, n, partial_slots)
-    }
-
     /// Words a job's main-memory region spans (control block + operands):
     /// the allocation unit of the concurrent-session region allocator.
     pub fn region_words(x_words: u64, n: u64) -> u64 {
         DATA_WORD + x_words + n
     }
 
-    /// Plans the same placement as [`MainLayout::plan`] but shifted
-    /// `region_word` words into main memory, so concurrent tenants get
-    /// fully disjoint control blocks (descriptor, barrier counter, zero
-    /// word, reduction partials) and operand vectors. `plan` is exactly
-    /// `plan_at` with `region_word == 0`.
+    /// Plans the placement of a job with `x_words` of `x` operand, `n`
+    /// output elements and `partial_slots` reduction partials, starting
+    /// `region_word` words into main memory. Concurrent tenants get
+    /// disjoint regions, so their control blocks (descriptor, barrier
+    /// counter, zero word, reduction partials) and operand vectors never
+    /// alias; a blocking offload uses region 0.
     pub fn plan_at(
         map: &MemoryMap,
         region_word: u64,
@@ -197,7 +187,7 @@ mod tests {
     #[test]
     fn main_layout_places_disjoint_regions() {
         let map = MemoryMap::new(4, 1 << 20);
-        let l = MainLayout::plan(&map, 1024, 1024, 32).unwrap();
+        let l = MainLayout::plan_at(&map, 0, 1024, 1024, 32).unwrap();
         assert!(l.desc < l.barrier);
         assert!(l.barrier < l.partials);
         assert!(l.partials < l.x);
@@ -205,11 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn plan_at_zero_matches_plan_and_offsets_shift_everything() {
+    fn plan_at_offsets_shift_everything() {
         let map = MemoryMap::new(4, 1 << 20);
-        let a = MainLayout::plan(&map, 256, 256, 8).unwrap();
-        let b = MainLayout::plan_at(&map, 0, 256, 256, 8).unwrap();
-        assert_eq!(a, b);
+        let a = MainLayout::plan_at(&map, 0, 256, 256, 8).unwrap();
         let span = MainLayout::region_words(256, 256);
         let c = MainLayout::plan_at(&map, span, 256, 256, 8).unwrap();
         assert_eq!(c.desc, a.desc.add_words(span));
@@ -225,7 +213,7 @@ mod tests {
     fn main_layout_rejects_oversized_jobs() {
         let map = MemoryMap::new(4, 2048);
         assert!(matches!(
-            MainLayout::plan(&map, 4096, 4096, 8),
+            MainLayout::plan_at(&map, 0, 4096, 4096, 8),
             Err(OffloadError::MainMemoryOverflow { .. })
         ));
     }

@@ -60,7 +60,8 @@ pub use model::{mape, ExtendedModel, FitReport, Predictor, RuntimeModel, Sample}
 pub use mpsoc_noc::ClusterMask;
 pub use mpsoc_soc::{ContentionReport, JobId};
 pub use recovery::{
-    AttemptOutcome, AttemptRecord, RecoveredResult, RecoveryPolicy, ResilientReport,
+    AttemptOutcome, AttemptRecord, QuarantineEvent, RecoveredResult, RecoveryPolicy,
+    ResilientReport, StrikeBoard, AUTO_QUARANTINE_STRIKES, MAX_RETRIES,
 };
 pub use runtime::{OffloadResult, OffloadRun, Offloader, RuntimeCosts, SessionStep, TenantRun};
 pub use strategy::{DispatchStrategy, OffloadStrategy, SyncStrategy};

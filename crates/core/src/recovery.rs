@@ -16,11 +16,19 @@
 //! ([`ClusterMask::without`]), falling back to host execution (or a
 //! typed [`OffloadError::DegradedInfeasible`]) when the degraded
 //! machine can no longer run it — the Eq. 3 decision on the survivors.
+//!
+//! Strikes, the quarantine threshold, the quarantined set and the log
+//! of quarantine decisions live in one per-machine ledger, the
+//! [`StrikeBoard`]. [`Offloader::offload_resilient`] keeps one per
+//! offloader; the scheduler keeps one per shard and feeds it the CRC
+//! flags of co-simulated completions. Both bound re-dispatch by the
+//! same [`MAX_RETRIES`].
 
 use mpsoc_kernels::Kernel;
 use mpsoc_noc::ClusterMask;
 use mpsoc_sim::Cycle;
 use mpsoc_soc::{EventKind, FaultPlan};
+use serde::{Deserialize, Serialize};
 
 use crate::decision::{decide, Decision};
 use crate::model::RuntimeModel;
@@ -57,7 +65,7 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             margin: 4.0,
-            max_retries: 3,
+            max_retries: MAX_RETRIES,
             backoff_base: 64,
             strike_limit: 2,
             model: RuntimeModel::paper(),
@@ -72,6 +80,140 @@ impl RecoveryPolicy {
     /// `n`-element job: `⌈margin × t̂(m, n)⌉`.
     pub fn watchdog_budget(&self, m: usize, n: u64) -> u64 {
         (self.margin * self.model.predict(m as u64, n)).ceil() as u64
+    }
+}
+
+/// Re-dispatch attempts after the initial one: the default of
+/// [`RecoveryPolicy::max_retries`] and the scheduler's bound on
+/// re-dispatching a co-simulated tenant whose completion was flagged
+/// corrupt.
+pub const MAX_RETRIES: u32 = 3;
+
+/// Strikes against one cluster before a scheduler's ledger quarantines
+/// it. Three strikes: the first corruption is absorbed as a transient
+/// by re-dispatch, the second is suspicious, the third condemns the
+/// cluster.
+pub const AUTO_QUARANTINE_STRIKES: u32 = 3;
+
+/// One quarantine decision: which cluster was retired, when, and on how
+/// much evidence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct QuarantineEvent {
+    /// Virtual cycle the quarantine took effect.
+    pub at: u64,
+    /// The cluster retired from the pool.
+    pub cluster: usize,
+    /// Strikes accumulated when the decision fired (0 for a manual
+    /// quarantine of a cluster never implicated).
+    pub strikes: u32,
+}
+
+/// The per-machine recovery ledger: strike counts, the quarantine
+/// threshold, the quarantined set and the log of quarantine decisions.
+///
+/// One observable fault signal is weak evidence — transients exist and
+/// re-dispatch absorbs them — but the *same* cluster implicated again
+/// and again is a hardware diagnosis. [`StrikeBoard::record`] turns
+/// implicated-cluster masks into quarantine decisions with hysteresis:
+/// a cluster is condemned only once its strikes reach the threshold.
+/// Every decision, automatic or manual, is logged as a typed
+/// [`QuarantineEvent`], so callers see *when* and *why* capacity left
+/// the pool. Each cluster is retired at most once, so the log holds at
+/// most one event per cluster.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StrikeBoard {
+    clusters: usize,
+    threshold: Option<u32>,
+    /// Per-cluster counters, allocated on the first strike: a machine
+    /// that never faults never pays for them.
+    strikes: Vec<u32>,
+    quarantined: ClusterMask,
+    events: Vec<QuarantineEvent>,
+}
+
+impl StrikeBoard {
+    /// A ledger over `clusters` clusters with the default threshold
+    /// [`AUTO_QUARANTINE_STRIKES`].
+    pub fn new(clusters: usize) -> Self {
+        StrikeBoard::with_threshold(clusters, Some(AUTO_QUARANTINE_STRIKES))
+    }
+
+    /// A ledger with an explicit threshold; `None` disables automatic
+    /// quarantine (strikes still accumulate and stay observable).
+    pub fn with_threshold(clusters: usize, threshold: Option<u32>) -> Self {
+        StrikeBoard {
+            clusters,
+            threshold,
+            ..StrikeBoard::default()
+        }
+    }
+
+    /// Changes the threshold for subsequent [`StrikeBoard::record`]
+    /// calls. Lowering it below an already-accumulated count fires on
+    /// the *next* strike, not retroactively.
+    pub fn set_threshold(&mut self, threshold: Option<u32>) {
+        self.threshold = threshold;
+    }
+
+    /// Strikes accumulated against `cluster` so far.
+    pub fn strikes(&self, cluster: usize) -> u32 {
+        self.strikes.get(cluster).copied().unwrap_or(0)
+    }
+
+    /// The clusters quarantined so far.
+    pub fn quarantined(&self) -> ClusterMask {
+        self.quarantined
+    }
+
+    /// Every cluster of the machine minus the quarantined set.
+    pub fn healthy(&self) -> ClusterMask {
+        ClusterMask::first(self.clusters).without(self.quarantined)
+    }
+
+    /// Charges one strike to every cluster in `implicated` that is not
+    /// already quarantined (a retired cluster's partition may still be
+    /// draining; it earns nothing more). The clusters whose strikes
+    /// reach the threshold are quarantined at cycle `at` and returned.
+    pub fn record(&mut self, implicated: ClusterMask, at: u64) -> ClusterMask {
+        let mut fire = ClusterMask::EMPTY;
+        self.strikes.resize(self.clusters, 0);
+        for cluster in implicated.intersection(self.healthy()).iter() {
+            self.strikes[cluster] += 1;
+            if self.threshold.is_some_and(|t| self.strikes[cluster] >= t) {
+                fire.insert(cluster);
+            }
+        }
+        self.quarantine(fire, at)
+    }
+
+    /// Quarantines `mask` at cycle `at` (an external decision, or a
+    /// threshold crossing). Bits outside the machine and clusters
+    /// already quarantined are ignored; each newly retired cluster is
+    /// logged. Returns the newly retired clusters.
+    pub fn quarantine(&mut self, mask: ClusterMask, at: u64) -> ClusterMask {
+        let retired = mask.intersection(self.healthy());
+        self.quarantined = self.quarantined.union(retired);
+        for cluster in retired.iter() {
+            let strikes = self.strikes(cluster);
+            self.events.push(QuarantineEvent {
+                at,
+                cluster,
+                strikes,
+            });
+        }
+        retired
+    }
+
+    /// The quarantine decisions logged and not yet drained, in firing
+    /// order.
+    pub fn events(&self) -> &[QuarantineEvent] {
+        &self.events
+    }
+
+    /// Takes the quarantine decisions logged since the last drain, in
+    /// firing order.
+    pub fn drain_events(&mut self) -> Vec<QuarantineEvent> {
+        std::mem::take(&mut self.events)
     }
 }
 
@@ -172,24 +314,25 @@ impl Offloader {
 
     /// Clusters currently quarantined by the self-healing path.
     pub fn quarantined(&self) -> ClusterMask {
-        self.quarantined
+        self.ledger.quarantined()
     }
 
     /// Fault-implication strikes recorded against `cluster`.
     pub fn strike_count(&self, cluster: usize) -> u32 {
-        self.strikes.get(cluster).copied().unwrap_or(0)
+        self.ledger.strikes(cluster)
     }
 
     /// Adds `mask` to the quarantine set (an external policy decision,
     /// e.g. a scheduler retiring clusters after its own diagnosis).
     pub fn quarantine(&mut self, mask: ClusterMask) {
-        self.quarantined = self.quarantined.union(mask);
+        let now = self.session_now().as_u64();
+        self.ledger.quarantine(mask, now);
     }
 
     /// The healthy dispatch pool: every cluster of the machine minus
     /// the quarantine set.
     pub fn healthy_mask(&self) -> ClusterMask {
-        ClusterMask::first(self.config().clusters).without(self.quarantined)
+        self.ledger.healthy()
     }
 
     /// Offloads `kernel` with the full self-healing protocol: watchdog,
@@ -224,6 +367,7 @@ impl Offloader {
         let n = y.len() as u64;
         let mut attempts: Vec<AttemptRecord> = Vec::new();
         let mut accounted: u64 = 0;
+        self.ledger.set_threshold(Some(policy.strike_limit));
 
         for attempt in 0..=policy.max_retries {
             // Re-plan on the surviving machine.
@@ -265,14 +409,11 @@ impl Offloader {
                             result: RecoveredResult::Offloaded(Box::new(t.run)),
                             attempts,
                             total_cycles: accounted,
-                            quarantined: self.quarantined,
+                            quarantined: self.quarantined(),
                         });
                     }
                     // The CRC flag names the corrupting clusters.
-                    let implicated: Vec<usize> = mask
-                        .iter()
-                        .filter(|&c| t.corrupt_clusters >> c & 1 == 1)
-                        .collect();
+                    let implicated = mask.intersection(ClusterMask::from_bits(t.corrupt_clusters));
                     (AttemptOutcome::CorruptData, spent, implicated)
                 }
                 SessionStep::Horizon | SessionStep::Idle => {
@@ -289,7 +430,7 @@ impl Offloader {
                     // never posted their completion. A lost *credit*
                     // leaves everyone complete — nobody is implicated
                     // and the retry is plain.
-                    let implicated: Vec<usize> = mask
+                    let implicated: ClusterMask = mask
                         .iter()
                         .filter(|&c| !self.soc().cluster_completed(c))
                         .collect();
@@ -303,19 +444,13 @@ impl Offloader {
             };
 
             // Strikes and quarantine.
-            for &cluster in &implicated {
-                self.strikes[cluster] += 1;
-                if self.strikes[cluster] >= policy.strike_limit
-                    && !self.quarantined.contains(cluster)
-                {
-                    self.quarantined.insert(cluster);
-                    self.soc_mut().record_recovery_event(
-                        Cycle::new(budget),
-                        EventKind::Quarantine,
-                        job,
-                        cluster as u64,
-                    );
-                }
+            for cluster in self.ledger.record(implicated, budget).iter() {
+                self.soc_mut().record_recovery_event(
+                    Cycle::new(budget),
+                    EventKind::Quarantine,
+                    job,
+                    cluster as u64,
+                );
             }
 
             let last = attempt == policy.max_retries;
@@ -332,7 +467,7 @@ impl Offloader {
                 spent_cycles: spent,
                 backoff_cycles: backoff,
                 outcome,
-                implicated,
+                implicated: implicated.iter().collect(),
             });
             if !last {
                 self.soc_mut().record_recovery_event(
@@ -384,7 +519,7 @@ impl Offloader {
             result: RecoveredResult::Host { cycles, result },
             attempts,
             total_cycles: accounted + cycles,
-            quarantined: self.quarantined,
+            quarantined: self.quarantined(),
         })
     }
 }
@@ -403,6 +538,84 @@ mod tests {
 
     fn offloader(clusters: usize) -> Offloader {
         Offloader::new(SocConfig::with_clusters(clusters)).unwrap()
+    }
+
+    fn bits(bits: u64) -> ClusterMask {
+        ClusterMask::from_bits(bits)
+    }
+
+    #[test]
+    fn hysteresis_needs_threshold_strikes_on_the_same_cluster() {
+        let mut board = StrikeBoard::new(4);
+        // Two strikes on cluster 0 plus two on cluster 1: four
+        // transients machine-wide, but no single cluster reaches three —
+        // nothing fires.
+        assert!(board.record(bits(0b01), 10).is_empty());
+        assert!(board.record(bits(0b10), 20).is_empty());
+        assert!(board.record(bits(0b01), 30).is_empty());
+        assert!(board.record(bits(0b10), 40).is_empty());
+        // The third strike on cluster 0 condemns exactly cluster 0.
+        let fire = board.record(bits(0b01), 50);
+        assert_eq!(fire, ClusterMask::single(0));
+        assert_eq!(board.quarantined(), ClusterMask::single(0));
+        assert_eq!(board.strikes(0), 3);
+        assert_eq!(board.strikes(1), 2);
+        assert_eq!(
+            board.drain_events(),
+            vec![QuarantineEvent {
+                at: 50,
+                cluster: 0,
+                strikes: 3
+            }]
+        );
+    }
+
+    #[test]
+    fn quarantined_clusters_stop_accumulating() {
+        let mut board = StrikeBoard::new(2);
+        board.quarantine(ClusterMask::single(0), 0);
+        for _ in 0..5 {
+            assert!(board.record(bits(0b01), 0).is_empty());
+        }
+        assert_eq!(board.strikes(0), 0, "drained partitions add no strikes");
+        assert_eq!(board.events().len(), 1, "retired once, logged once");
+    }
+
+    #[test]
+    fn disabled_threshold_never_fires_but_still_counts() {
+        let mut board = StrikeBoard::with_threshold(2, None);
+        for _ in 0..10 {
+            assert!(board.record(bits(0b11), 0).is_empty());
+        }
+        assert_eq!(board.strikes(1), 10);
+        assert!(board.quarantined().is_empty());
+    }
+
+    #[test]
+    fn one_record_can_condemn_several_clusters() {
+        let mut board = StrikeBoard::with_threshold(4, Some(1));
+        let fire = board.record(bits(0b0110), 7);
+        assert_eq!(fire.iter().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(board.healthy(), bits(0b1001));
+    }
+
+    #[test]
+    fn manual_quarantine_is_idempotent_and_clips_to_the_machine() {
+        let mut board = StrikeBoard::new(4);
+        let mut mask = ClusterMask::first(1);
+        mask.insert(63); // outside the machine: ignored
+        assert_eq!(board.quarantine(mask, 5), ClusterMask::first(1));
+        assert!(board.quarantine(mask, 6).is_empty());
+        assert_eq!(board.quarantined(), ClusterMask::first(1));
+        assert_eq!(board.healthy().count(), 3);
+        assert_eq!(
+            board.events(),
+            &[QuarantineEvent {
+                at: 5,
+                cluster: 0,
+                strikes: 0
+            }]
+        );
     }
 
     #[test]
@@ -547,7 +760,7 @@ mod tests {
 
         let policy = RecoveryPolicy {
             strike_limit: 1,
-            max_retries: 3,
+            max_retries: MAX_RETRIES,
             ..RecoveryPolicy::default()
         };
         let report = off

@@ -12,6 +12,7 @@ use mpsoc_soc::{
 use serde::{Deserialize, Serialize};
 
 use crate::layout::{JobGeometry, MainLayout};
+use crate::recovery::StrikeBoard;
 use crate::strategy::{DispatchStrategy, SyncStrategy};
 use crate::verify::VerifyReport;
 use crate::{OffloadError, OffloadStrategy};
@@ -154,10 +155,11 @@ pub enum SessionStep {
     Idle,
 }
 
-/// Bookkeeping for a submitted-but-not-yet-collected tenant job.
+/// A job checked, loaded into main memory and bound to its clusters
+/// (see [`Offloader::stage`]): what the runtime needs to read its
+/// result back once it has run.
 #[derive(Debug)]
-struct PendingJob {
-    job: JobId,
+struct Staged {
     layout: MainLayout,
     kind: KernelKind,
     n: u64,
@@ -165,6 +167,40 @@ struct PendingJob {
     partial_slots: u64,
     strategy: OffloadStrategy,
     region_word: u64,
+}
+
+impl Staged {
+    /// Reads the result back from main memory — the output vector of a
+    /// map kernel, the summed partials of a reduce kernel — and pairs
+    /// it with the measured `outcome`.
+    fn finish(&self, soc: &Soc, outcome: OffloadOutcome) -> Result<OffloadRun, OffloadError> {
+        let store = soc.main().store();
+        let result = match self.kind {
+            KernelKind::Map => OffloadResult::Vector(store.read_f64_slice(self.layout.y, self.n)?),
+            KernelKind::Reduce => OffloadResult::Scalar(
+                store
+                    .read_f64_slice(self.layout.partials, self.partial_slots)?
+                    .iter()
+                    .sum(),
+            ),
+        };
+        Ok(OffloadRun {
+            outcome,
+            result,
+            n: self.n,
+            m: self.m,
+            strategy: self.strategy,
+        })
+    }
+}
+
+/// Where [`Offloader::stage`] places a job's main-memory region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Region {
+    /// Word 0: a blocking offload has the machine to itself.
+    Base,
+    /// First fit between the live tenants of a concurrent session.
+    FirstFit,
 }
 
 /// The offload runtime: owns a simulated SoC and runs kernels on it.
@@ -175,16 +211,14 @@ pub struct Offloader {
     soc: Soc,
     costs: RuntimeCosts,
     /// In-flight session jobs awaiting completion.
-    pending: Vec<PendingJob>,
+    pending: Vec<(JobId, Staged)>,
     /// Live main-memory regions `(start_word, words)`, sorted by start:
     /// the deterministic first-fit allocator for concurrent tenants.
     regions: Vec<(u64, u64)>,
-    /// Per-cluster fault-implication strikes accumulated by the
-    /// self-healing path (see [`Offloader::offload_resilient`]).
-    pub(crate) strikes: Vec<u32>,
-    /// Clusters quarantined after reaching the strike limit; excluded
-    /// from every future resilient dispatch.
-    pub(crate) quarantined: ClusterMask,
+    /// The self-healing path's strikes and quarantined set (see
+    /// [`Offloader::offload_resilient`]); quarantined clusters are
+    /// excluded from every future resilient dispatch.
+    pub(crate) ledger: StrikeBoard,
 }
 
 impl Offloader {
@@ -200,8 +234,7 @@ impl Offloader {
             costs: RuntimeCosts::default(),
             pending: Vec::new(),
             regions: Vec::new(),
-            strikes: vec![0; clusters],
-            quarantined: ClusterMask::default(),
+            ledger: StrikeBoard::new(clusters),
         })
     }
 
@@ -240,6 +273,12 @@ impl Offloader {
         m: usize,
         strategy: OffloadStrategy,
     ) -> Result<OffloadRun, OffloadError> {
+        let mask = self.first_clusters(m)?;
+        self.offload_to(kernel, x, y, mask, strategy)
+    }
+
+    /// The first `m` clusters of the machine.
+    fn first_clusters(&self, m: usize) -> Result<ClusterMask, OffloadError> {
         let available = self.soc.config().clusters;
         if m > available {
             return Err(OffloadError::TooManyClusters {
@@ -247,7 +286,7 @@ impl Offloader {
                 available,
             });
         }
-        self.offload_to(kernel, x, y, ClusterMask::first(m), strategy)
+        Ok(ClusterMask::first(m))
     }
 
     /// Executes `kernel` entirely on the host core (no offload): the
@@ -353,60 +392,10 @@ impl Offloader {
                 kernel: kernel.name().to_owned(),
             });
         }
-        let available = self.soc.config().clusters;
-        if m == 0 {
-            return Err(OffloadError::NoClusters);
-        }
-        if m > available {
-            return Err(OffloadError::TooManyClusters {
-                requested: m,
-                available,
-            });
-        }
-        let n = y.len() as u64;
-        let wpe = kernel.x_words_per_elem();
-        let x_words = n * wpe;
-        if x.len() as u64 != x_words {
-            return Err(OffloadError::OperandMismatch {
-                x_len: x.len(),
-                y_len: y.len(),
-            });
-        }
-        let cores = self.soc.config().cores_per_cluster;
-        let layout = MainLayout::plan(self.soc.map(), x_words, n, 0)?;
-        self.soc
-            .main_mut()
-            .store_mut()
-            .write_f64_slice(layout.x, x)?;
-        self.soc
-            .main_mut()
-            .store_mut()
-            .write_f64_slice(layout.y, y)?;
-
-        let mask = ClusterMask::first(m);
-        let partition = mpsoc_kernels::partition::JobPartition::new(n, m, cores);
-        for (position, cluster) in mask.iter().enumerate() {
-            let job = self.build_pipelined_job(
-                kernel,
-                &layout,
-                partition.clusters()[position],
-                cores,
-                strategy,
-                stages,
-            )?;
-            self.soc.bind_job(cluster, job);
-        }
-
-        let program = self.build_host_program(kernel, &layout, n, mask, cores, strategy);
+        let mask = self.first_clusters(m)?;
+        let (staged, program) = self.stage(kernel, x, y, mask, strategy, Region::Base, stages)?;
         let outcome = self.soc.run_offload(program, mask)?;
-        let out = self.soc.main().store().read_f64_slice(layout.y, n)?;
-        Ok(OffloadRun {
-            outcome,
-            result: OffloadResult::Vector(out),
-            n,
-            m,
-            strategy,
-        })
+        staged.finish(&self.soc, outcome)
     }
 
     fn build_pipelined_job(
@@ -517,81 +506,9 @@ impl Offloader {
         mask: ClusterMask,
         strategy: OffloadStrategy,
     ) -> Result<OffloadRun, OffloadError> {
-        let m = mask.count();
-        if m == 0 {
-            return Err(OffloadError::NoClusters);
-        }
-        let available = self.soc.config().clusters;
-        if mask.highest().expect("non-empty") >= available {
-            return Err(OffloadError::TooManyClusters {
-                requested: mask.highest().expect("non-empty") + 1,
-                available,
-            });
-        }
-        // The job size is the output length; `x` must hold
-        // `x_words_per_elem` words per element (1 for vector kernels,
-        // `K` for matrix kernels like GEMV).
-        let n = y.len() as u64;
-        let x_words = n * kernel.x_words_per_elem();
-        if x.len() as u64 != x_words {
-            return Err(OffloadError::OperandMismatch {
-                x_len: x.len(),
-                y_len: y.len(),
-            });
-        }
-        let cores = self.soc.config().cores_per_cluster;
-        let partial_slots = (m * cores) as u64;
-
-        let layout = MainLayout::plan(self.soc.map(), x_words, n, partial_slots)?;
-        let geometry = JobGeometry::plan(kernel, n, m, cores, self.soc.config().tcdm_words)?;
-
-        // Load operands (zero-time test-bench initialization, as the
-        // paper's measurements also exclude input generation).
-        self.soc
-            .main_mut()
-            .store_mut()
-            .write_f64_slice(layout.x, x)?;
-        self.soc
-            .main_mut()
-            .store_mut()
-            .write_f64_slice(layout.y, y)?;
-
-        // The reserved zero word feeds halo zero-fills at job edges.
-        self.soc.main_mut().store_mut().write_u64(layout.zero, 0)?;
-
-        // Bind one job per selected cluster; the job geometry is indexed
-        // by *position* within the mask, not by cluster id.
-        for (position, cluster) in mask.iter().enumerate() {
-            let job =
-                self.build_cluster_job(kernel, &geometry, &layout, position, n, cores, strategy)?;
-            self.soc.bind_job(cluster, job);
-        }
-
-        let program = self.build_host_program(kernel, &layout, n, mask, cores, strategy);
+        let (staged, program) = self.stage(kernel, x, y, mask, strategy, Region::Base, 1)?;
         let outcome = self.soc.run_offload(program, mask)?;
-
-        let result = match kernel.kind() {
-            KernelKind::Map => {
-                let out = self.soc.main().store().read_f64_slice(layout.y, n)?;
-                OffloadResult::Vector(out)
-            }
-            KernelKind::Reduce => {
-                let partials = self
-                    .soc
-                    .main()
-                    .store()
-                    .read_f64_slice(layout.partials, partial_slots)?;
-                OffloadResult::Scalar(partials.iter().sum())
-            }
-        };
-
-        Ok(OffloadRun {
-            outcome,
-            result,
-            n,
-            m,
-            strategy,
-        })
+        staged.finish(&self.soc, outcome)
     }
 
     /// Opens a concurrent-job session: resets the SoC's virtual time,
@@ -627,17 +544,50 @@ impl Offloader {
         strategy: OffloadStrategy,
         at: Cycle,
     ) -> Result<JobId, OffloadError> {
+        let (staged, program) = self.stage(kernel, x, y, mask, strategy, Region::FirstFit, 1)?;
+        match self.soc.submit_job(program, mask, at) {
+            Ok(job) => {
+                self.pending.push((job, staged));
+                Ok(job)
+            }
+            Err(e) => {
+                self.free_region(staged.region_word);
+                Err(e.into())
+            }
+        }
+    }
+
+    /// Checks `mask` and the operands, places the job's main-memory
+    /// region, loads the operands and binds one cluster job per cluster
+    /// of `mask` — the software-pipelined schedule when `stages > 1`.
+    /// Returns the staged job and the host program that launches it; a
+    /// failure frees the region it placed.
+    #[allow(clippy::too_many_arguments)] // internal builder mirroring the job's natural parameters
+    fn stage(
+        &mut self,
+        kernel: &dyn Kernel,
+        x: &[f64],
+        y: &[f64],
+        mask: ClusterMask,
+        strategy: OffloadStrategy,
+        region: Region,
+        stages: usize,
+    ) -> Result<(Staged, HostProgram), OffloadError> {
         let m = mask.count();
-        if m == 0 {
-            return Err(OffloadError::NoClusters);
-        }
         let available = self.soc.config().clusters;
-        if mask.highest().expect("non-empty") >= available {
-            return Err(OffloadError::TooManyClusters {
-                requested: mask.highest().expect("non-empty") + 1,
-                available,
-            });
+        match mask.highest() {
+            None => return Err(OffloadError::NoClusters),
+            Some(highest) if highest >= available => {
+                return Err(OffloadError::TooManyClusters {
+                    requested: highest + 1,
+                    available,
+                })
+            }
+            Some(_) => {}
         }
+        // The job size is the output length; `x` must hold
+        // `x_words_per_elem` words per element (1 for vector kernels,
+        // `K` for matrix kernels like GEMV).
         let n = y.len() as u64;
         let x_words = n * kernel.x_words_per_elem();
         if x.len() as u64 != x_words {
@@ -647,39 +597,55 @@ impl Offloader {
             });
         }
         let cores = self.soc.config().cores_per_cluster;
-        let partial_slots = (m * cores) as u64;
-
-        let span = MainLayout::region_words(x_words, n);
-        let region_word = self.alloc_region(span)?;
-        let submitted = (|| {
+        // One partial slot per core (reduce kernels write them); the
+        // pipelined schedule runs map kernels only and reserves none.
+        let partial_slots = if stages == 1 { (m * cores) as u64 } else { 0 };
+        let region_word = match region {
+            Region::Base => 0,
+            Region::FirstFit => self.alloc_region(MainLayout::region_words(x_words, n))?,
+        };
+        let bound = (|| {
             let layout =
                 MainLayout::plan_at(self.soc.map(), region_word, x_words, n, partial_slots)?;
-            let geometry = JobGeometry::plan(kernel, n, m, cores, self.soc.config().tcdm_words)?;
+            // The job geometry is indexed by *position* within the
+            // mask, not by cluster id.
+            let jobs = if stages == 1 {
+                let geometry =
+                    JobGeometry::plan(kernel, n, m, cores, self.soc.config().tcdm_words)?;
+                (0..m)
+                    .map(|position| {
+                        self.build_cluster_job(
+                            kernel, &geometry, &layout, position, n, cores, strategy,
+                        )
+                    })
+                    .collect::<Result<Vec<_>, _>>()?
+            } else {
+                mpsoc_kernels::partition::JobPartition::new(n, m, cores)
+                    .clusters()
+                    .iter()
+                    .map(|&chunk| {
+                        self.build_pipelined_job(kernel, &layout, chunk, cores, strategy, stages)
+                    })
+                    .collect::<Result<Vec<_>, _>>()?
+            };
 
-            self.soc
-                .main_mut()
-                .store_mut()
-                .write_f64_slice(layout.x, x)?;
-            self.soc
-                .main_mut()
-                .store_mut()
-                .write_f64_slice(layout.y, y)?;
-            self.soc.main_mut().store_mut().write_u64(layout.zero, 0)?;
-
-            for (position, cluster) in mask.iter().enumerate() {
-                let job = self
-                    .build_cluster_job(kernel, &geometry, &layout, position, n, cores, strategy)?;
+            // Load operands (zero-time test-bench initialization, as the
+            // paper's measurements also exclude input generation). The
+            // reserved zero word feeds halo zero-fills at job edges.
+            let store = self.soc.main_mut().store_mut();
+            store.write_f64_slice(layout.x, x)?;
+            store.write_f64_slice(layout.y, y)?;
+            store.write_u64(layout.zero, 0)?;
+            for (cluster, job) in mask.iter().zip(jobs) {
                 self.soc.bind_job(cluster, job);
             }
 
             let program = self.build_host_program(kernel, &layout, n, mask, cores, strategy);
-            let job = self.soc.submit_job(program, mask, at)?;
-            Ok::<_, OffloadError>((job, layout))
+            Ok::<_, OffloadError>((layout, program))
         })();
-        match submitted {
-            Ok((job, layout)) => {
-                self.pending.push(PendingJob {
-                    job,
+        match bound {
+            Ok((layout, program)) => Ok((
+                Staged {
                     layout,
                     kind: kernel.kind(),
                     n,
@@ -687,11 +653,13 @@ impl Offloader {
                     partial_slots,
                     strategy,
                     region_word,
-                });
-                Ok(job)
-            }
+                },
+                program,
+            )),
             Err(e) => {
-                self.free_region(region_word);
+                if region == Region::FirstFit {
+                    self.free_region(region_word);
+                }
                 Err(e)
             }
         }
@@ -711,23 +679,10 @@ impl Offloader {
                 let at = self
                     .pending
                     .iter()
-                    .position(|p| p.job == c.job)
+                    .position(|&(job, _)| job == c.job)
                     .expect("completion for a job this runtime never submitted");
-                let p = self.pending.remove(at);
-                self.free_region(p.region_word);
-                let result = match p.kind {
-                    KernelKind::Map => OffloadResult::Vector(
-                        self.soc.main().store().read_f64_slice(p.layout.y, p.n)?,
-                    ),
-                    KernelKind::Reduce => {
-                        let partials = self
-                            .soc
-                            .main()
-                            .store()
-                            .read_f64_slice(p.layout.partials, p.partial_slots)?;
-                        OffloadResult::Scalar(partials.iter().sum())
-                    }
-                };
+                let (_, staged) = self.pending.remove(at);
+                self.free_region(staged.region_word);
                 Ok(SessionStep::Completed(Box::new(TenantRun {
                     job: c.job,
                     submitted_at: c.submitted_at,
@@ -736,13 +691,7 @@ impl Offloader {
                     contention: c.contention,
                     corrupt_clusters: c.corrupt_clusters,
                     faults_injected: c.faults_injected,
-                    run: OffloadRun {
-                        outcome: c.outcome,
-                        result,
-                        n: p.n,
-                        m: p.m,
-                        strategy: p.strategy,
-                    },
+                    run: staged.finish(&self.soc, c.outcome)?,
                 })))
             }
             SessionProgress::Horizon => Ok(SessionStep::Horizon),

@@ -16,11 +16,6 @@ use serde::{Deserialize, Serialize};
 pub struct Allocator {
     total: usize,
     free: ClusterMask,
-    /// Clusters retired from the pool. A quarantined cluster leaves the
-    /// free set immediately and [`Allocator::release`] withholds it from
-    /// returning partitions, so quarantine is safe mid-stream even while
-    /// the cluster is carved into a running tenant's partition.
-    quarantined: ClusterMask,
 }
 
 impl Allocator {
@@ -37,40 +32,17 @@ impl Allocator {
         Allocator {
             total,
             free: ClusterMask::first(total),
-            quarantined: ClusterMask::EMPTY,
         }
     }
 
-    /// An allocator over clusters `0..total` with `quarantined` removed
-    /// from the free set: quarantined clusters are never granted and —
-    /// since [`Allocator::release`] only accepts previously carved
-    /// masks — can never re-enter the pool.
-    ///
-    /// A fully quarantined machine yields an allocator that never
-    /// grants anything — every job must go to the host or be rejected.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `total` is out of range (see [`Allocator::new`]).
-    pub fn with_quarantine(total: usize, quarantined: ClusterMask) -> Self {
-        let mut a = Allocator::new(total);
-        a.quarantine(quarantined);
-        a
-    }
-
-    /// Retires `mask` from the pool mid-stream. Free clusters leave the
-    /// free set now; carved ones are withheld when their partition is
-    /// eventually released — either way a quarantined cluster is never
-    /// granted again. Idempotent; bits outside the machine are ignored.
-    pub fn quarantine(&mut self, mask: ClusterMask) {
-        let mask = mask.intersection(ClusterMask::first(self.total));
-        self.quarantined = self.quarantined.union(mask);
+    /// Takes the free clusters of `mask` out of the free set (a
+    /// quarantine). Carved clusters of `mask` are unaffected: the
+    /// caller, which owns the quarantined set, leaves them out when it
+    /// releases their partition, so a retired cluster is never granted
+    /// again. A fully retired machine never grants anything — every job
+    /// must go to the host or be rejected. Idempotent.
+    pub fn retire(&mut self, mask: ClusterMask) {
         self.free = self.free.without(mask);
-    }
-
-    /// Clusters retired so far.
-    pub fn quarantined(&self) -> ClusterMask {
-        self.quarantined
     }
 
     /// The machine size.
@@ -119,8 +91,7 @@ impl Allocator {
             mask.highest().map_or(true, |h| h < self.total),
             "releasing clusters outside the machine"
         );
-        // Clusters quarantined while carved stay out of the pool.
-        self.free = self.free.union(mask.without(self.quarantined));
+        self.free = self.free.union(mask);
     }
 }
 
@@ -161,9 +132,9 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_removes_free_clusters_immediately() {
+    fn retire_removes_free_clusters_immediately() {
         let mut a = Allocator::new(4);
-        a.quarantine(ClusterMask::first(2));
+        a.retire(ClusterMask::first(2));
         assert_eq!(a.free_count(), 2);
         let grant = a.carve(2).unwrap();
         assert_eq!(grant.iter().collect::<Vec<_>>(), vec![2, 3]);
@@ -171,29 +142,17 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_busy_clusters_never_return_to_the_pool() {
+    fn retiring_a_carved_cluster_leaves_it_busy() {
         let mut a = Allocator::new(4);
         let grant = a.carve(2).unwrap(); // clusters 0,1 busy
-        let mut bad = ClusterMask::EMPTY;
-        bad.insert(0);
-        a.quarantine(bad);
-        // Release returns only the healthy cluster; the quarantined one
-        // is withheld and can never be granted again.
-        a.release(grant);
+        a.retire(ClusterMask::single(0));
+        a.retire(ClusterMask::single(0));
+        assert_eq!(a.free_count(), 2, "only free clusters leave the set");
+        // The owner of the quarantined set releases the healthy rest.
+        a.release(grant.without(ClusterMask::single(0)));
         assert_eq!(a.free_count(), 3);
         let next = a.carve(3).unwrap();
-        assert!(!next.iter().any(|c| c == 0));
-    }
-
-    #[test]
-    fn quarantine_is_idempotent_and_clips_to_the_machine() {
-        let mut a = Allocator::new(4);
-        let mut mask = ClusterMask::first(1);
-        mask.insert(63); // outside the machine: ignored
-        a.quarantine(mask);
-        a.quarantine(mask);
-        assert_eq!(a.quarantined(), ClusterMask::first(1));
-        assert_eq!(a.free_count(), 3);
+        assert!(!next.contains(0));
     }
 
     #[test]

@@ -16,11 +16,14 @@
 //! machine)` triple always yields a byte-identical [`RunReport`].
 //!
 //! What the engine adds over a bare shard is the state that outlives
-//! one run: quarantined clusters, the lint and cost gates with their
-//! memos, the service backend with its measurement caches, and the
-//! telemetry buffer.
+//! one run, lent to each run's shard and taken back after it: the
+//! recovery ledger (strikes, threshold, quarantined clusters and the
+//! quarantine log), the lint and cost gates with their memos, the
+//! service backend with its measurement caches, and the telemetry
+//! buffer.
 
 use mpsoc_noc::ClusterMask;
+use mpsoc_offload::{QuarantineEvent, StrikeBoard};
 use mpsoc_telemetry::EventTrace;
 
 use crate::admission::AdmissionController;
@@ -31,9 +34,8 @@ use crate::job::Job;
 use crate::lint_gate::LintGate;
 use crate::metrics::{Metrics, RunReport};
 use crate::policy::SchedPolicy;
-use crate::quarantine::{QuarantineEvent, AUTO_QUARANTINE_STRIKES};
 use crate::service::ServiceBackend;
-use crate::shard::ShardSim;
+use crate::shard::{pool_shrank, ShardSim};
 
 /// The multi-tenant scheduler: admission + allocation + dispatch over a
 /// service-time backend.
@@ -42,16 +44,10 @@ pub struct Engine {
     admission: AdmissionController,
     backend: ServiceBackend,
     clusters: usize,
-    quarantined: ClusterMask,
+    ledger: StrikeBoard,
     telemetry: EventTrace,
     lint_gate: Option<LintGate>,
     cost_gate: Option<CostGate>,
-    /// Corrupt completions flagged on one cluster before the engine
-    /// quarantines it automatically (co-simulated runs only); `None`
-    /// disables the closed loop.
-    auto_quarantine: Option<u32>,
-    /// Automatic quarantine decisions of the last [`Engine::run`].
-    quarantine_log: Vec<QuarantineEvent>,
 }
 
 impl Engine {
@@ -62,12 +58,10 @@ impl Engine {
             admission: AdmissionController::new(table, clusters as u64),
             backend,
             clusters,
-            quarantined: ClusterMask::EMPTY,
+            ledger: StrikeBoard::new(clusters),
             telemetry: EventTrace::disabled(),
             lint_gate: None,
             cost_gate: None,
-            auto_quarantine: Some(AUTO_QUARANTINE_STRIKES),
-            quarantine_log: Vec::new(),
         }
     }
 
@@ -78,40 +72,39 @@ impl Engine {
     /// Eq. 3 minimum partition exceeds the surviving pool are rejected
     /// with [`RejectReason::DegradedMachine`](crate::RejectReason::DegradedMachine).
     ///
-    /// Quarantining also drops the measured backend's memoized solo-run
-    /// offload timings ([`ServiceBackend::invalidate_measurements`]):
-    /// they may have been taken on partitions containing the cluster
-    /// now known to be faulty.
-    /// Quarantining also drops the static cost gate's memoized bounds
-    /// and re-bounds it to the surviving pool: min-best totals were
-    /// computed over partitions the machine can no longer grant.
+    /// Retiring new clusters also drops the measured backend's
+    /// memoized solo-run timings and the cost gate's memoized bounds,
+    /// the same pool-shrink step a shard takes mid-stream (see
+    /// [`ShardSim::quarantine`]). The ledger logs the decision at cycle
+    /// 0, where the next run's virtual time starts.
     pub fn quarantine(&mut self, mask: ClusterMask) {
-        self.quarantined = self
-            .quarantined
-            .union(mask.intersection(ClusterMask::first(self.clusters)));
-        self.backend.invalidate_measurements();
-        if let Some(gate) = self.cost_gate.as_mut() {
-            gate.restrict_clusters(self.clusters - self.quarantined.count());
+        if !self.ledger.quarantine(mask, 0).is_empty() {
+            let healthy = self.ledger.healthy().count();
+            pool_shrank(&mut self.backend, self.cost_gate.as_mut(), healthy);
         }
     }
 
     /// The clusters currently quarantined.
     pub fn quarantined(&self) -> ClusterMask {
-        self.quarantined
+        self.ledger.quarantined()
     }
 
     /// Configures automatic quarantine for co-simulated runs: a cluster
     /// is retired after `threshold` corrupt completions flagged it
-    /// (default [`AUTO_QUARANTINE_STRIKES`]); `None` disables the
-    /// closed loop — corruption is then absorbed by re-dispatch alone.
+    /// (default
+    /// [`AUTO_QUARANTINE_STRIKES`](mpsoc_offload::AUTO_QUARANTINE_STRIKES));
+    /// `None` disables the closed loop — corruption is then absorbed by
+    /// re-dispatch alone. Strikes accumulate across runs, like the
+    /// quarantined set.
     pub fn set_auto_quarantine(&mut self, threshold: Option<u32>) {
-        self.auto_quarantine = threshold;
+        self.ledger.set_threshold(threshold);
     }
 
-    /// Automatic quarantine decisions made during the last
-    /// [`Engine::run`], in firing order.
+    /// Every quarantine decision the ledger has logged, manual
+    /// ([`Engine::quarantine`]) and automatic (during [`Engine::run`]),
+    /// in firing order — at most one per cluster.
     pub fn quarantine_events(&self) -> &[QuarantineEvent] {
-        &self.quarantine_log
+        self.ledger.events()
     }
 
     /// Enables static program verification at admission: every arriving
@@ -186,9 +179,8 @@ impl Engine {
         let name = policy.name().to_owned();
         let table = self.admission.table().clone();
         let backend = std::mem::replace(&mut self.backend, ServiceBackend::analytic(table.clone()));
-        let mut shard =
-            ShardSim::with_policy(table, self.clusters, backend, policy, self.quarantined);
-        shard.set_auto_quarantine(self.auto_quarantine);
+        let ledger = std::mem::take(&mut self.ledger);
+        let mut shard = ShardSim::with_policy(table, self.clusters, backend, policy, ledger);
         shard.lint_gate = self.lint_gate.take();
         shard.cost_gate = self.cost_gate.take();
         shard.telemetry = std::mem::take(&mut self.telemetry);
@@ -196,8 +188,7 @@ impl Engine {
 
         let fed = feed(&mut shard, jobs);
         let mut records = shard.drain_finished();
-        self.quarantined = shard.quarantined();
-        self.quarantine_log = shard.drain_quarantine_events();
+        self.ledger = shard.ledger;
         self.backend = shard.backend;
         self.lint_gate = shard.lint_gate;
         self.cost_gate = shard.cost_gate;
@@ -723,6 +714,35 @@ mod tests {
         assert!(e.quarantined().is_empty());
         assert!(e.quarantine_events().is_empty());
         assert_eq!(report.metrics.offloaded, 3, "every job still completes");
+    }
+
+    #[test]
+    fn strikes_persist_across_runs() {
+        // One cluster, every DMA burst corrupt: each run's job completes
+        // corrupt 1 + MAX_RETRIES = 4 times, 4 strikes per run. Under a
+        // threshold of 6 the first run leaves the cluster in the pool;
+        // the second run's second strike crosses 6 only because the
+        // engine's ledger carried the first run's four.
+        let mut offloader =
+            mpsoc_offload::Offloader::new(mpsoc_soc::SocConfig::with_clusters(1)).expect("soc");
+        let mut plan = mpsoc_soc::FaultPlan::with_seed(7);
+        plan.dma_corrupt = mpsoc_soc::SiteSpec::rate(1.0);
+        offloader.install_faults(plan);
+        let mut e = Engine::new(
+            ModelTable::paper_defaults(),
+            1,
+            ServiceBackend::co_simulated(offloader, 0xBEEF),
+        );
+        e.set_auto_quarantine(Some(6));
+        let stream = jobs(&[(0, 1024, 100_000)]);
+        let first = e.run(&stream, &mut FifoFirstFit).expect("run");
+        assert_eq!(first.records[0].retries, mpsoc_offload::MAX_RETRIES);
+        assert!(e.quarantined().is_empty(), "4 strikes < 6");
+        e.run(&stream, &mut FifoFirstFit).expect("run");
+        assert_eq!(e.quarantined(), ClusterMask::single(0));
+        let events = e.quarantine_events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].strikes, 6);
     }
 
     #[test]

@@ -65,7 +65,6 @@ mod job;
 mod lint_gate;
 mod metrics;
 mod policy;
-mod quarantine;
 mod service;
 mod shard;
 mod workload;
@@ -83,7 +82,6 @@ pub use policy::{
     all_policies, EarliestDeadlineFirst, FifoFirstFit, ModelGuided, Placement, QueuedJob,
     SchedContext, SchedPolicy, SmallestFirst,
 };
-pub use quarantine::{QuarantineEvent, StrikeBoard, AUTO_QUARANTINE_STRIKES};
 pub use service::ServiceBackend;
-pub use shard::{CostCheck, ShardDecision, ShardSim, COSIM_MAX_REDISPATCH};
+pub use shard::{CostCheck, ShardDecision, ShardSim};
 pub use workload::{ArrivalPattern, Workload};

@@ -127,7 +127,8 @@ impl Metrics {
             match r.outcome {
                 JobOutcome::Offloaded { start, finish, m } => {
                     offloaded += 1;
-                    busy_cluster_cycles += (finish - start) * m as u64;
+                    busy_cluster_cycles = busy_cluster_cycles
+                        .saturating_add((finish - start).saturating_mul(m as u64));
                     makespan = makespan.max(finish);
                 }
                 JobOutcome::Host { finish, .. } => {

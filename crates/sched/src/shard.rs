@@ -39,17 +39,22 @@
 //!   [`JobRecord::contention_cycles`] — emerges from the co-simulation.
 //!   A tenant whose completion carries the observable corruption signal
 //!   (`corrupt_clusters`) is re-dispatched, bounded by
-//!   [`COSIM_MAX_REDISPATCH`]; the re-dispatch count lands in
-//!   [`JobRecord::retries`]. Corrupt completions also accumulate
-//!   per-cluster strikes ([`crate::StrikeBoard`]): a cluster flagged
-//!   [`crate::AUTO_QUARANTINE_STRIKES`] times is quarantined
-//!   mid-stream — allocator pool shrink, degraded admission,
-//!   measured-cache and cost-gate invalidation — and reported as a
-//!   typed [`QuarantineEvent`].
+//!   [`MAX_RETRIES`], the resilient offloader's default retry bound;
+//!   the re-dispatch count lands in [`JobRecord::retries`].
+//!
+//! Each shard owns one recovery ledger ([`StrikeBoard`]): strikes,
+//! threshold, the quarantined set and the quarantine log, the same type
+//! the resilient offloader keeps. Corrupt completions charge strikes to
+//! the CRC-flagged clusters; a cluster flagged
+//! [`AUTO_QUARANTINE_STRIKES`](mpsoc_offload::AUTO_QUARANTINE_STRIKES)
+//! times is quarantined mid-stream — allocator pool shrink, degraded
+//! admission, measured-cache and cost-gate invalidation — and logged as
+//! a typed [`QuarantineEvent`].
 
 use std::collections::BTreeMap;
 
 use mpsoc_noc::ClusterMask;
+use mpsoc_offload::{QuarantineEvent, StrikeBoard, MAX_RETRIES};
 use mpsoc_sim::Cycle;
 use mpsoc_telemetry::{EventKind, EventTrace, Unit};
 
@@ -62,15 +67,7 @@ use crate::job::Job;
 use crate::lint_gate::LintGate;
 use crate::metrics::{JobOutcome, JobRecord};
 use crate::policy::{Placement, QueuedJob, SchedContext, SchedPolicy};
-use crate::quarantine::{QuarantineEvent, StrikeBoard};
 use crate::service::ServiceBackend;
-
-/// Bounded re-dispatch budget for co-simulated tenants that complete
-/// with the DMA corruption flag set: the scheduler re-submits on the
-/// same partition with fresh fault dice up to this many times, then
-/// accepts the result as-is (matching the resilient runtime's bounded
-/// retry discipline).
-pub const COSIM_MAX_REDISPATCH: u32 = 3;
 
 /// What [`ShardSim::offer`] decided about one arriving job.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,6 +129,23 @@ fn partition_unit(mask: ClusterMask) -> Unit {
     Unit::Partition(mask.iter().next().unwrap_or(0) as u32)
 }
 
+/// The one "pool shrank" step of [`ShardSim::quarantine`] and
+/// [`Engine::quarantine`](crate::Engine::quarantine): the measured
+/// backend's memoized solo-run timings and the cost gate's static memos
+/// were computed against a machine that no longer exists, and stale
+/// entries would admit jobs on bounds the `healthy` survivors cannot
+/// realize.
+pub(crate) fn pool_shrank(
+    backend: &mut ServiceBackend,
+    cost_gate: Option<&mut CostGate>,
+    healthy: usize,
+) {
+    backend.invalidate_measurements();
+    if let Some(gate) = cost_gate {
+        gate.restrict_clusters(healthy);
+    }
+}
+
 /// An incremental single-machine scheduler: admission, allocation and
 /// dispatch over a service backend, driven event-by-event.
 pub struct ShardSim<P = Box<dyn SchedPolicy>> {
@@ -155,9 +169,10 @@ pub struct ShardSim<P = Box<dyn SchedPolicy>> {
     completed_jobs: u64,
     pub(crate) cost_gate: Option<CostGate>,
     last_cost_check: Option<CostCheck>,
-    quarantined: ClusterMask,
-    strikes: StrikeBoard,
-    quarantine_events: Vec<QuarantineEvent>,
+    /// The recovery ledger: the one owner of the quarantined set (the
+    /// allocator only stops granting what it names). An engine lends
+    /// its ledger here for the length of a run.
+    pub(crate) ledger: StrikeBoard,
     /// Static program verification, checked before the cost gate;
     /// enabled through [`Engine::enable_lint`](crate::Engine::enable_lint).
     pub(crate) lint_gate: Option<LintGate>,
@@ -176,28 +191,31 @@ impl ShardSim {
         backend: ServiceBackend,
         policy: Box<dyn SchedPolicy>,
     ) -> Self {
-        ShardSim::with_policy(table, clusters, backend, policy, ClusterMask::EMPTY)
+        let ledger = StrikeBoard::new(clusters);
+        ShardSim::with_policy(table, clusters, backend, policy, ledger)
     }
 }
 
 impl<P: SchedPolicy> ShardSim<P> {
-    /// A shard dispatching with any policy type whose `quarantined`
-    /// clusters are out of the pool from the start (no events logged).
+    /// A shard dispatching with any policy type over `ledger`, whose
+    /// quarantined clusters are out of the pool from the start.
     pub(crate) fn with_policy(
         table: ModelTable,
         clusters: usize,
         mut backend: ServiceBackend,
         policy: P,
-        quarantined: ClusterMask,
+        ledger: StrikeBoard,
     ) -> Self {
         if let ServiceBackend::CoSimulated { offloader, .. } = &mut backend {
             offloader.begin_jobs();
         }
+        let mut allocator = Allocator::new(clusters);
+        allocator.retire(ledger.quarantined());
         ShardSim {
             admission: AdmissionController::new(table, clusters as u64),
             backend,
             clusters,
-            allocator: Allocator::with_quarantine(clusters, quarantined),
+            allocator,
             policy,
             queue_limit: None,
             now: 0,
@@ -212,80 +230,71 @@ impl<P: SchedPolicy> ShardSim<P> {
             completed_jobs: 0,
             cost_gate: None,
             last_cost_check: None,
-            quarantined,
-            strikes: StrikeBoard::new(clusters),
-            quarantine_events: Vec::new(),
+            ledger,
             lint_gate: None,
             telemetry: EventTrace::disabled(),
         }
     }
 
     /// Retires `mask` from this shard's pool mid-stream — the
-    /// incremental counterpart of [`Engine::quarantine`]. The allocator
-    /// stops granting the clusters (busy ones are withheld at release),
-    /// admission reasons against the surviving pool (typed
-    /// [`RejectReason::DegradedMachine`] rejections), and — exactly
-    /// like the engine — the measured backend's memoized solo-run
-    /// timings and the cost gate's static memos are dropped: both were
-    /// computed against a machine that no longer exists, and stale
-    /// entries would admit jobs on bounds the degraded shard cannot
-    /// realize. Each newly retired cluster is logged as a
-    /// [`QuarantineEvent`].
+    /// incremental counterpart of [`Engine::quarantine`]. The ledger
+    /// logs each newly retired cluster as a [`QuarantineEvent`], the
+    /// allocator stops granting the clusters (busy ones are withheld at
+    /// release), admission reasons against the surviving pool (typed
+    /// [`RejectReason::DegradedMachine`] rejections), and the measured
+    /// backend's solo-run timings and the cost gate's static memos are
+    /// dropped: both were computed against a machine that no longer
+    /// exists.
     ///
     /// [`Engine::quarantine`]: crate::Engine::quarantine
     pub fn quarantine(&mut self, mask: ClusterMask) {
-        let mask = mask
-            .intersection(ClusterMask::first(self.clusters))
-            .without(self.quarantined);
-        if mask.is_empty() {
+        let retired = self.ledger.quarantine(mask, self.now);
+        self.retire_clusters(retired);
+    }
+
+    /// Takes the clusters the ledger just retired out of the pool.
+    fn retire_clusters(&mut self, retired: ClusterMask) {
+        if retired.is_empty() {
             return;
         }
-        self.quarantined = self.quarantined.union(mask);
-        self.allocator.quarantine(mask);
-        self.backend.invalidate_measurements();
-        let healthy = self.clusters - self.quarantined.count();
-        if let Some(gate) = self.cost_gate.as_mut() {
-            gate.restrict_clusters(healthy);
-        }
-        for cluster in mask.iter() {
+        self.allocator.retire(retired);
+        let healthy = self.healthy_clusters();
+        pool_shrank(&mut self.backend, self.cost_gate.as_mut(), healthy);
+        for cluster in retired.iter() {
             self.telemetry.instant(
                 Cycle::new(self.now),
                 Unit::SchedHost,
                 EventKind::Quarantine,
                 cluster as u64,
             );
-            self.quarantine_events.push(QuarantineEvent {
-                at: self.now,
-                cluster,
-                strikes: self.strikes.strikes(cluster),
-            });
         }
     }
 
     /// Configures automatic quarantine: a cluster is retired after
     /// `threshold` corrupt co-simulated completions flagged it (default
-    /// [`crate::AUTO_QUARANTINE_STRIKES`]); `None` disables the closed
-    /// loop so corruption is absorbed by re-dispatch alone.
+    /// [`AUTO_QUARANTINE_STRIKES`](mpsoc_offload::AUTO_QUARANTINE_STRIKES));
+    /// `None` disables the closed loop so corruption is absorbed by
+    /// re-dispatch alone.
     pub fn set_auto_quarantine(&mut self, threshold: Option<u32>) {
-        self.strikes.set_threshold(threshold);
+        self.ledger.set_threshold(threshold);
     }
 
     /// The clusters currently quarantined.
     pub fn quarantined(&self) -> ClusterMask {
-        self.quarantined
+        self.ledger.quarantined()
     }
 
     /// Healthy (non-quarantined) clusters — the shard's *effective*
     /// capacity, which a fleet balancer should weight by instead of the
     /// configured size.
     pub fn healthy_clusters(&self) -> usize {
-        self.clusters - self.quarantined.count()
+        self.clusters - self.ledger.quarantined().count()
     }
 
     /// Takes the quarantine decisions (manual and automatic) made since
     /// the last drain, in firing order.
     pub fn drain_quarantine_events(&mut self) -> Vec<QuarantineEvent> {
-        std::mem::take(&mut self.quarantine_events)
+        self.ledger.drain_events()
     }
 
     /// Enables static cost verification: offered jobs whose deadline
@@ -541,7 +550,7 @@ impl<P: SchedPolicy> ShardSim<P> {
             }
             AdmissionDecision::Host { .. } => {
                 let start = self.now.max(self.host_free_at);
-                let finish = start + self.backend.host_cycles(job.kernel, job.n)?;
+                let finish = start.saturating_add(self.backend.host_cycles(job.kernel, job.n)?);
                 self.host_free_at = finish;
                 let span =
                     self.telemetry
@@ -646,9 +655,13 @@ impl<P: SchedPolicy> ShardSim<P> {
                 finish,
             }
         } else {
-            self.allocator.release(done.mask);
+            // Clusters quarantined while carved stay out of the pool.
+            self.allocator
+                .release(done.mask.without(self.ledger.quarantined()));
             self.backlog_cycles -= done.predicted * done.m_min as f64;
-            self.busy_cluster_cycles += (finish - done.start) * done.m as u64;
+            self.busy_cluster_cycles = self
+                .busy_cluster_cycles
+                .saturating_add((finish - done.start).saturating_mul(done.m as u64));
             let part = partition_unit(done.mask);
             let span = self
                 .telemetry
@@ -736,7 +749,7 @@ impl<P: SchedPolicy> ShardSim<P> {
                     .backend
                     .offload_cycles(queued.job.kernel, queued.job.n, mask)?;
                 self.completions
-                    .insert((self.now + cycles, self.seq), placed);
+                    .insert((self.now.saturating_add(cycles), self.seq), placed);
                 self.seq += 1;
             }
         }
@@ -816,11 +829,11 @@ impl<P: SchedPolicy> ShardSim<P> {
             // absorbing its output. Crossing the hysteresis threshold
             // quarantines the cluster mid-stream, with no external
             // `quarantine` call involved.
-            let fire = self.strikes.record(t.corrupt_clusters, self.quarantined);
-            if !fire.is_empty() {
-                self.quarantine(fire);
-            }
-            if done.retries < COSIM_MAX_REDISPATCH {
+            let fire = self
+                .ledger
+                .record(ClusterMask::from_bits(t.corrupt_clusters), self.now);
+            self.retire_clusters(fire);
+            if done.retries < MAX_RETRIES {
                 // Observable corruption: re-dispatch on the same
                 // partition with fresh fault dice, charging the retry to
                 // the record.
@@ -1066,6 +1079,21 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].cluster, 3);
         assert_eq!(events[0].strikes, 0, "manual quarantine carries no strikes");
+    }
+
+    #[test]
+    fn a_cluster_quarantined_while_busy_is_withheld_at_release() {
+        let table = ModelTable::paper_defaults();
+        let mut s = shard(2, ServiceBackend::analytic(table));
+        let stream = jobs(&[(0, 1024, 100_000)]);
+        s.offer(stream[0]).unwrap();
+        assert_eq!(s.free_clusters(), 1, "the job holds cluster 0");
+        s.quarantine(ClusterMask::single(0));
+        assert_eq!(s.free_clusters(), 1, "a busy cluster stays carved");
+        s.drain().expect("drain");
+        assert_eq!(s.free_clusters(), 1, "release withholds cluster 0");
+        assert_eq!(s.healthy_clusters(), 1);
+        assert_eq!(s.completed_jobs(), 1);
     }
 
     #[test]

@@ -283,7 +283,8 @@ impl Fleet {
         &self.shards[i]
     }
 
-    /// Configures automatic quarantine on every shard: a cluster is
+    /// Sets the quarantine threshold of every shard's recovery ledger
+    /// ([`StrikeBoard`](mpsoc_offload::StrikeBoard)): a cluster is
     /// retired after `threshold` corrupt co-simulated completions
     /// flagged it; `None` disables the closed loop so corruption is
     /// absorbed by bounded re-dispatch alone — the no-recovery arm

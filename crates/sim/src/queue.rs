@@ -26,16 +26,6 @@ impl<E> ScheduledEvent<E> {
         self.time
     }
 
-    /// The scheduling sequence number (FIFO tiebreak within a cycle).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// A reference to the payload.
-    pub fn event(&self) -> &E {
-        &self.event
-    }
-
     /// Consumes the entry, returning `(time, payload)`.
     pub fn into_parts(self) -> (Cycle, E) {
         (self.time, self.event)
@@ -99,14 +89,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with pre-allocated capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-        }
-    }
-
     /// Schedules `event` to fire at `time`.
     pub fn push(&mut self, time: Cycle, event: E) {
         let seq = self.next_seq;
@@ -132,11 +114,6 @@ impl<E> EventQueue<E> {
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
     }
 
     /// Drops all pending events (the sequence counter keeps advancing so
@@ -201,7 +178,7 @@ mod tests {
         q.push(Cycle::new(30), 3);
         q.push(Cycle::new(10), 1);
         q.push(Cycle::new(20), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| *e.event())).collect();
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.into_parts().1)).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
 
@@ -211,7 +188,7 @@ mod tests {
         for i in 0..100 {
             q.push(Cycle::new(7), i);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| *e.event())).collect();
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.into_parts().1)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
@@ -222,7 +199,7 @@ mod tests {
         q.push(Cycle::new(1), "b");
         q.push(Cycle::new(5), "c");
         q.push(Cycle::new(1), "d");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| *e.event())).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.into_parts().1)).collect();
         assert_eq!(order, vec!["b", "d", "a", "c"]);
     }
 
@@ -239,15 +216,16 @@ mod tests {
     }
 
     #[test]
-    fn clear_preserves_sequence_counter() {
+    fn clear_keeps_later_events_fifo() {
         let mut q = EventQueue::new();
         q.push(Cycle::new(1), 0);
         q.push(Cycle::new(1), 1);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 2);
         q.push(Cycle::new(1), 2);
-        assert_eq!(q.scheduled_total(), 3);
+        q.push(Cycle::new(1), 3);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.into_parts().1)).collect();
+        assert_eq!(order, vec![2, 3]);
     }
 
     #[test]
@@ -256,8 +234,7 @@ mod tests {
         q.push(Cycle::new(4), 'x');
         let ev = q.pop().expect("one event");
         assert_eq!(ev.time(), Cycle::new(4));
-        assert_eq!(ev.seq(), 0);
-        assert_eq!(*ev.event(), 'x');
+        assert_eq!(ev.into_parts(), (Cycle::new(4), 'x'));
     }
 
     #[test]
@@ -267,7 +244,7 @@ mod tests {
         let mut sched = Scheduler::attach(&mut q, Cycle::new(5));
         sched.schedule_at(Cycle::new(5), "now");
         sched.schedule_at(Cycle::new(7), "later");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| *e.event())).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.into_parts().1)).collect();
         assert_eq!(order, ["now", "queued", "later"]);
     }
 
